@@ -331,7 +331,7 @@ let context_of ~seed tech (arc : Arc.t) point =
   }
 
 (* The synthetic failure raised for a (seed, point) the fault injector
-   matches — identical payload from the scalar and batched flows. *)
+   matches. *)
 let injected_fault ctx =
   Slc_error.No_convergence
     {
@@ -345,8 +345,7 @@ let injected_fault ctx =
       context = ctx;
     }
 
-(* Pieces shared verbatim by the scalar and batched measurement flows,
-   so the two paths cannot drift: the initial capture window, the
+(* Pieces of the measurement flow: the initial capture window, the
    per-attempt solver options, and the waveform measurements made on a
    finished run. *)
 let initial_window tmpl point =
@@ -437,184 +436,10 @@ let simulate ?(seed = Process.nominal) tech (arc : Arc.t) point =
       Slc_error.with_context ctx (fun () ->
           attempt 0 (initial_window tmpl point)))
 
-(* ------------------------------------------------------------------ *)
-(* Batched measurement.
-
-   One call measures a whole array of (seed, point) lanes for the same
-   (tech, arc): every lane is specialized from the shared compiled
-   template and the batch transient engine (Transient.run_batch)
-   advances all of them in lockstep through one structure-of-arrays
-   Newton loop.  Control flow per lane is the scalar [simulate]'s —
-   same validity check, fault injection, retry-with-longer-window
-   policy, one [count_simulation] per lane per attempt, same typed
-   failures with the same context — so callers observe per-lane results
-   and accounting identical to N scalar calls, just faster. *)
-
-(* Per-domain batch workspaces, one per (tech, arc) shape, reused by
-   every batch the domain processes (the workspace grows to the largest
-   lane count seen). *)
-let[@slc.domain_safe "per-domain storage via Parallel.Slot"] domain_batch_workspaces :
-    (Tech.t * Arc.t, Transient.batch_workspace) Hashtbl.t
-    Slc_num.Parallel.Slot.t =
-  Slc_num.Parallel.Slot.make (fun () -> Hashtbl.create 8)
-
-let domain_batch_workspace tech arc tmpl ~lanes =
-  let tbl = Slc_num.Parallel.Slot.get domain_batch_workspaces in
-  let key = (tech, arc) in
-  match Hashtbl.find_opt tbl key with
-  | Some bws -> bws
-  | None ->
-    let bws = Transient.make_batch_workspace tmpl.t_compiled ~lanes in
-    Hashtbl.add tbl key bws;
-    bws
-
-(* Attach the lane's context to a failure that escaped the solver with
-   an empty one (exactly what Slc_error.with_context does around the
-   scalar flow). *)
-let annotate_exn ctx e =
-  try Slc_error.with_context ctx (fun () -> raise e) with e -> e
-
-(* A lane being worked on: resolved lanes hold their final outcome,
-   live lanes their retry state. *)
-type lane_state =
-  | L_live of { retries : int; window : float }
-  | L_resolved of (measurement, exn) result
-
-let simulate_chunk tech (arc : Arc.t) lanes =
-  let nl = Array.length lanes in
-  let states = Array.make nl (L_live { retries = 0; window = 0.0 }) in
-  let ctxs =
-    Array.map (fun (seed, point) -> context_of ~seed tech arc point) lanes
-  in
-  let injector = Atomic.get fault_injector in
-  let any_live = ref false in
-  Array.iteri
-    (fun l (seed, point) ->
-      if point.sin <= 0.0 || point.cload < 0.0 || point.vdd <= 0.0 then
-        states.(l) <-
-          L_resolved
-            (Error
-               (Slc_error.Invalid_input
-                  (Slc_error.invalid ~site:"Harness.build_netlist"
-                     "invalid input condition")))
-      else
-        match injector with
-        | Some inject when inject seed point ->
-          Telemetry.incr Telemetry.sim_failures;
-          states.(l) <- L_resolved (Error (injected_fault ctxs.(l)))
-        | _ -> any_live := true)
-    lanes;
-  if !any_live then begin
-    let tmpl, sws = domain_template tech arc in
-    let bws = domain_batch_workspace tech arc tmpl ~lanes:nl in
-    let compiled =
-      Array.mapi
-        (fun l (seed, point) ->
-          match states.(l) with
-          | L_live _ ->
-            states.(l) <-
-              L_live { retries = 0; window = initial_window tmpl point };
-            Some (specialize tmpl tech arc ~seed point)
-          | L_resolved _ -> None)
-        lanes
-    in
-    (* Attempt passes: every live lane simulates once per pass (in
-       lockstep through the batch engine); lanes whose edge was not
-       captured retry next pass with a 3x window until the budget is
-       spent.  Lane order within a pass matches the scalar call order. *)
-    let live = ref [] in
-    Array.iteri
-      (fun l s -> match s with L_live _ -> live := l :: !live | _ -> ())
-      states;
-    let live = ref (List.rev !live) in
-    while !live <> [] do
-      let pending =
-        List.filter
-          (fun l ->
-            match states.(l) with
-            | L_live { retries; window } when retries > 3 ->
-              Telemetry.incr Telemetry.sim_failures;
-              states.(l) <-
-                L_resolved
-                  (Error (retry_budget_exhausted ctxs.(l) ~retries ~window));
-              false
-            | L_live { retries; _ } ->
-              if retries > 0 then Telemetry.incr Telemetry.sim_retries;
-              count_simulation ();
-              true
-            | L_resolved _ -> false)
-          !live
-      in
-      let batch =
-        Array.of_list
-          (List.map
-             (fun l ->
-               let _, point = lanes.(l) in
-               let window =
-                 match states.(l) with
-                 | L_live { window; _ } -> window
-                 | L_resolved _ -> assert false
-               in
-               (attempt_options point ~window, Option.get compiled.(l)))
-             pending)
-      in
-      let results =
-        if Array.length batch = 0 then [||]
-        else
-          Telemetry.with_span Telemetry.span_simulate (fun () ->
-              Transient.run_batch ~workspace:bws ~scalar_workspace:sws
-                ~record:tmpl.t_record batch)
-      in
-      List.iteri
-        (fun i l ->
-          let _, point = lanes.(l) in
-          match results.(i) with
-          | Error e -> states.(l) <- L_resolved (Error (annotate_exn ctxs.(l) e))
-          | Ok res -> (
-            let retries, window =
-              match states.(l) with
-              | L_live { retries; window } -> (retries, window)
-              | L_resolved _ -> assert false
-            in
-            match measure tmpl arc point ~retries res with
-            | Some m -> states.(l) <- L_resolved (Ok m)
-            | None ->
-              states.(l) <-
-                L_live { retries = retries + 1; window = window *. 3.0 }))
-        pending;
-      live :=
-        List.filter
-          (fun l -> match states.(l) with L_live _ -> true | _ -> false)
-          !live
-    done
-  end;
-  Array.map
-    (function
-      | L_resolved r -> r
-      | L_live _ -> assert false)
-    states
-
-(* Lanes per in-domain batch: large enough to amortize per-batch
-   overhead (template lookup, workspace setup), small enough that the
-   domain pool's dynamic chunking still balances load. *)
-let batch_lanes = 16
-
-let simulate_batch ?(chunk = batch_lanes) tech arc lanes =
-  if chunk <= 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Harness.simulate_batch" "chunk <= 0";
-  let n = Array.length lanes in
-  if n = 0 then [||]
-  else begin
-    let nchunks = (n + chunk - 1) / chunk in
-    if nchunks = 1 then simulate_chunk tech arc lanes
-    else
-      let chunks =
-        Array.init nchunks (fun ci ->
-            let lo = ci * chunk in
-            Array.sub lanes lo (min chunk (n - lo)))
-      in
-      let rs =
-        Slc_num.Parallel.map (fun ch -> simulate_chunk tech arc ch) chunks
-      in
-      Array.concat (Array.to_list rs)
-  end
+(* Batched measurement: one [simulate] per (seed, point) lane, spread
+   over the domain pool.  [try_map] fixes the lane-to-slot mapping, so
+   results, counts and telemetry are independent of the domain count. *)
+let simulate_batch tech arc lanes =
+  Slc_num.Parallel.try_map
+    (fun (seed, point) -> simulate ~seed tech arc point)
+    lanes

@@ -15,10 +15,10 @@ type dataset = {
 
 let simulate_dataset ?seed tech arc points =
   let before = Harness.sim_count () in
-  (* One lane per point, all for the same seed, advanced in lockstep by
-     the batch transient engine.  Failure semantics match the
-     [Parallel.map] this replaces: a single failing point re-raises its
-     exception unwrapped, several raise [Parallel.Failures]. *)
+  (* One [Harness.simulate_batch] lane per point, all for the same seed.
+     Failure semantics are [Parallel.map]'s: a single failing point
+     re-raises its exception unwrapped, several raise
+     [Parallel.Failures]. *)
   let seed = Option.value seed ~default:Process.nominal in
   let results =
     Harness.simulate_batch tech arc (Array.map (fun p -> (seed, p)) points)

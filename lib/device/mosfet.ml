@@ -172,108 +172,6 @@ let[@inline] [@slc.hot] eval_into p ~vg ~vd ~vs buf =
     eval_nmos_into p ~vg:(-.vg) ~vd:(-.vd) ~vs:(-.vs) buf;
     buf.b_id <- -.buf.b_id
 
-(* ------------------------------------------------------------------ *)
-(* Structure-of-arrays parameter slabs for the batch transient engine.
-
-   A slab packs, per (device, lane), the eight parameter values the
-   evaluation needs as one contiguous block of a flat [Bigarray], so a
-   batched Newton loop streaming over many lanes touches one cache
-   line per device evaluation instead of a boxed record per lane.
-   Derived constants are precomputed at fill time with the SAME
-   floating-point association the record path uses —
-   [kp *. wl *. (vp *. vov)] parses as [(kp *. wl) *. (vp *. vov)], so
-   storing [kp *. wl] is a bitwise-neutral substitution — keeping
-   [eval_slab_into] bit-for-bit equal to [eval_into]. *)
-
-type slab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Field order within a block: sign, vt, theta, kp*w/l, alpha,
-   alpha-1, vsat_frac, lambda. *)
-let slab_fields = 8
-
-let make_slab n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (max 1 n)
-
-let fill_slab p (slab : slab) ~off =
-  let set i x = Bigarray.Array1.set slab (off + i) x in
-  set 0 (match p.polarity with Nmos -> 1.0 | Pmos -> -1.0);
-  set 1 p.vt;
-  set 2 p.theta;
-  set 3 (p.kp *. (p.w /. p.l));
-  set 4 p.alpha;
-  set 5 (p.alpha -. 1.0);
-  set 6 p.vsat_frac;
-  set 7 p.lambda
-
-(* [intrinsic_into] with the slab's precomputed constants.  Arithmetic
-   order matches the record path exactly; [vov ** 0.5] is dispatched to
-   [sqrt], which produces the identical correctly-rounded result. *)
-let[@inline] [@slc.hot] intrinsic_slab ~vt ~theta ~kpwl ~alpha ~alpha_m1
-    ~vsat_frac ~lambda vgs vds buf =
-  let x = (vgs -. vt) /. theta in
-  (if x > 35.0 then begin
-     buf.b_vg <- vgs -. vt;
-     buf.b_vd <- 1.0
-   end
-   else if x < -35.0 then begin
-     let e = exp x in
-     buf.b_vg <- theta *. e;
-     buf.b_vd <- e
-   end
-   else begin
-     let e = exp x in
-     buf.b_vg <- theta *. log1p e;
-     buf.b_vd <- e /. (1.0 +. e)
-   end);
-  let vov = buf.b_vg and dvov = buf.b_vd in
-  let vp = if alpha_m1 = 0.5 then sqrt vov else vov ** alpha_m1 in
-  let idsat = kpwl *. (vp *. vov) in
-  let d_idsat = kpwl *. alpha *. vp *. dvov in
-  let vdsat = (vsat_frac *. vov) +. vdsat_floor in
-  let d_vdsat = vsat_frac *. dvov in
-  let u = vds /. vdsat in
-  let t = tanh u in
-  let sech2 = 1.0 -. (t *. t) in
-  let clm = 1.0 +. (lambda *. vds) in
-  let id = idsat *. t *. clm in
-  let gm =
-    (d_idsat *. t *. clm)
-    +. (idsat *. sech2 *. (-.u /. vdsat) *. d_vdsat *. clm)
-  in
-  let gds = (idsat *. sech2 /. vdsat *. clm) +. (idsat *. t *. lambda) in
-  buf.b_id <- id;
-  buf.b_vg <- gm;
-  buf.b_vd <- gds
-
-(* Terminal evaluation from a slab block.  Multiplying the voltages by
-   the stored sign (+1/-1) is an exact IEEE negation (or identity), so
-   the branch-free polarity mirror is bitwise equal to [eval_into]'s
-   explicit one. *)
-let[@slc.hot] eval_slab_into (slab : slab) ~off ~vg ~vd ~vs buf =
-  let sign = Bigarray.Array1.unsafe_get slab off in
-  let vt = Bigarray.Array1.unsafe_get slab (off + 1) in
-  let theta = Bigarray.Array1.unsafe_get slab (off + 2) in
-  let kpwl = Bigarray.Array1.unsafe_get slab (off + 3) in
-  let alpha = Bigarray.Array1.unsafe_get slab (off + 4) in
-  let alpha_m1 = Bigarray.Array1.unsafe_get slab (off + 5) in
-  let vsat_frac = Bigarray.Array1.unsafe_get slab (off + 6) in
-  let lambda = Bigarray.Array1.unsafe_get slab (off + 7) in
-  let vg = sign *. vg and vd = sign *. vd and vs = sign *. vs in
-  if vd >= vs then begin
-    intrinsic_slab ~vt ~theta ~kpwl ~alpha ~alpha_m1 ~vsat_frac ~lambda
-      (vg -. vs) (vd -. vs) buf;
-    buf.b_vs <- -.(buf.b_vg +. buf.b_vd);
-    buf.b_id <- sign *. buf.b_id
-  end
-  else begin
-    intrinsic_slab ~vt ~theta ~kpwl ~alpha ~alpha_m1 ~vsat_frac ~lambda
-      (vg -. vd) (vs -. vd) buf;
-    let gm = buf.b_vg and gds = buf.b_vd in
-    buf.b_id <- sign *. -.buf.b_id;
-    buf.b_vg <- -.gm;
-    buf.b_vd <- gm +. gds;
-    buf.b_vs <- -.gds
-  end
-
 let idsat p ~vdd =
   let id, _, _ = intrinsic p vdd vdd in
   id

@@ -257,101 +257,6 @@ let[@slc.hot] lu_solve_in_place a perm ~b ~x =
     x.(i) <- !s /. m.(ri + i)
   done
 
-(* Flat-slab LU for the batch transient engine: the same partial-pivot
-   factorization and substitution as [lu_factor_in_place] /
-   [lu_solve_in_place], operating on an [n * n] row-major block at
-   [off] inside a flat Bigarray instead of a [Mat.t].  Pivot selection,
-   the singularity threshold and every accumulation order are
-   identical, so per-system results are bitwise equal to the Mat path.
-   Returns [false] for a singular block instead of raising — the batch
-   Newton loop treats that as a failed iteration, exactly as the
-   scalar loop treats [Singular]. *)
-
-type fslab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* The accessors are written out longhand (no local get/set helpers):
-   closures are heap blocks and this runs inside the batch Newton
-   loop's allocation-free region. *)
-let[@slc.hot] lu_factor_flat (m : fslab) ~off ~n ~(perm : int array) =
-  for i = 0 to n - 1 do
-    Array.unsafe_set perm i i
-  done;
-  let ok = ref true in
-  let k = ref 0 in
-  while !ok && !k < n do
-    let k0 = !k in
-    let piv = ref k0 in
-    let best = ref (Float.abs (Bigarray.Array1.unsafe_get m (off + (k0 * n) + k0))) in
-    for i = k0 + 1 to n - 1 do
-      let v = Float.abs (Bigarray.Array1.unsafe_get m (off + (i * n) + k0)) in
-      if v > !best then begin
-        best := v;
-        piv := i
-      end
-    done;
-    if !best < 1e-300 then ok := false
-    else begin
-      if !piv <> k0 then begin
-        let rk = off + (k0 * n) and rp = off + (!piv * n) in
-        for j = 0 to n - 1 do
-          let t = Bigarray.Array1.unsafe_get m (rk + j) in
-          Bigarray.Array1.unsafe_set m (rk + j)
-            (Bigarray.Array1.unsafe_get m (rp + j));
-          Bigarray.Array1.unsafe_set m (rp + j) t
-        done;
-        let t = Array.unsafe_get perm k0 in
-        Array.unsafe_set perm k0 (Array.unsafe_get perm !piv);
-        Array.unsafe_set perm !piv t
-      end;
-      let rk = off + (k0 * n) in
-      let pivot = Bigarray.Array1.unsafe_get m (rk + k0) in
-      for i = k0 + 1 to n - 1 do
-        let ri = off + (i * n) in
-        let f = Bigarray.Array1.unsafe_get m (ri + k0) /. pivot in
-        Bigarray.Array1.unsafe_set m (ri + k0) f;
-        for j = k0 + 1 to n - 1 do
-          Bigarray.Array1.unsafe_set m (ri + j)
-            (Bigarray.Array1.unsafe_get m (ri + j)
-            -. (f *. Bigarray.Array1.unsafe_get m (rk + j)))
-        done
-      done;
-      incr k
-    end
-  done;
-  !ok
-
-let[@slc.hot] lu_solve_flat (m : fslab) ~off ~n ~(perm : int array)
-    ~(b : fslab) ~boff ~(x : fslab) ~xoff =
-  for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set x (xoff + i)
-      (Bigarray.Array1.unsafe_get b (boff + Array.unsafe_get perm i))
-  done;
-  (* Forward substitution with unit lower part. *)
-  for i = 0 to n - 1 do
-    let ri = off + (i * n) in
-    let s = ref (Bigarray.Array1.unsafe_get x (xoff + i)) in
-    for j = 0 to i - 1 do
-      s :=
-        !s
-        -. (Bigarray.Array1.unsafe_get m (ri + j)
-           *. Bigarray.Array1.unsafe_get x (xoff + j))
-    done;
-    Bigarray.Array1.unsafe_set x (xoff + i) !s
-  done;
-  (* Back substitution with the upper part. *)
-  for i = n - 1 downto 0 do
-    let ri = off + (i * n) in
-    let s = ref (Bigarray.Array1.unsafe_get x (xoff + i)) in
-    for j = i + 1 to n - 1 do
-      s :=
-        !s
-        -. (Bigarray.Array1.unsafe_get m (ri + j)
-           *. Bigarray.Array1.unsafe_get x (xoff + j))
-    done;
-    Bigarray.Array1.unsafe_set x (xoff + i)
-      (!s /. Bigarray.Array1.unsafe_get m (ri + i))
-  done
-
 let lu_decompose a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Linalg.lu_decompose: not square";

@@ -88,32 +88,3 @@ val solve_least_squares : Mat.t -> Vec.t -> Vec.t
     equations with a tiny ridge for robustness.  Requires
     [rows a >= cols a]. *)
 
-(** {2 Flat-slab LU for the batch transient engine}
-
-    The same partial-pivot factorization and substitutions as
-    {!lu_factor_in_place} / {!lu_solve_in_place}, operating on an
-    [n * n] row-major block at an offset inside a flat [Bigarray]
-    (one block per batch lane).  Pivot choices, the [1e-300]
-    singularity threshold and every accumulation order are identical,
-    so per-system results are bitwise equal to the [Mat.t] path. *)
-
-type fslab = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val lu_factor_flat : fslab -> off:int -> n:int -> perm:int array -> bool
-(** Factor the block in place.  [false] means the block is singular
-    (the block is left partially factored, as the scalar path leaves
-    its matrix). *)
-
-val lu_solve_flat :
-  fslab ->
-  off:int ->
-  n:int ->
-  perm:int array ->
-  b:fslab ->
-  boff:int ->
-  x:fslab ->
-  xoff:int ->
-  unit
-(** Solve a factored block into the [n] floats of [x] at [xoff],
-    reading the right-hand side from [b] at [boff] ([b] is not
-    modified; [x] and [b] may not alias). *)

@@ -130,7 +130,10 @@ val server_errors : counter
 type span
 
 val span_simulate : span
-(** {!Harness.simulate} wall time. *)
+(** [Harness.simulate] wall time, one call per measurement that reaches
+    the solver (retries included in its time) — so one per lane of
+    [Harness.simulate_batch].  Invalid points and injected faults are
+    rejected before the span opens. *)
 
 val span_fit : span
 (** Per-seed model fitting. *)

@@ -659,632 +659,33 @@ let recovery_rungs :
         } );
   ]
 
-(* The ladder alone, entered with the plain attempt's failure [d0]
-   already in hand.  [run_recovered] goes through here after its plain
-   attempt; the batch engine calls it directly for a lane whose plain
-   attempt already ran (and failed) INSIDE the lockstep loop, so the
-   attempt is not repeated and the per-lane accounting matches the
-   scalar flow exactly. *)
-let escalate_rungs ?workspace ?record ~max_recovery opts c d0 =
-  let rungs = List.filteri (fun i _ -> i < max_recovery) recovery_rungs in
-  let rec escalate attempted = function
-    | [] ->
-      (* Every rung failed: re-raise the ORIGINAL failure's
-         diagnostics, annotated with the rungs that were tried. *)
-      raise
-        (Slc_error.No_convergence
-           { d0 with Slc_error.recovery = List.rev attempted })
-    | (name, degrades, tweak) :: rest -> (
-      Telemetry.incr Telemetry.recovery_attempts;
-      match run_compiled ?workspace ?record (tweak opts) c with
-      | r ->
-        Telemetry.incr Telemetry.recovery_rescues;
-        if degrades then Telemetry.incr Telemetry.degraded_runs;
-        {
-          r with
-          r_degraded = degrades;
-          r_recovery = List.rev (name :: attempted);
-        }
-      | exception Slc_error.No_convergence _ ->
-        escalate (name :: attempted) rest)
-  in
-  escalate [] rungs
-
 let run_recovered ?workspace ?record ?(max_recovery = 3) opts c =
   match run_compiled ?workspace ?record opts c with
   | r -> r
   | exception Slc_error.No_convergence d0 ->
-    escalate_rungs ?workspace ?record ~max_recovery opts c d0
-
-(* ------------------------------------------------------------------ *)
-(* Lockstep multi-seed batch engine.
-
-   One Newton loop advances a whole batch of per-seed circuit variants
-   ("lanes") that share a topology but differ in device parameters,
-   capacitances and stimuli.  State is structure-of-arrays: flat
-   [Bigarray] float slabs hold every lane's node voltages, residuals,
-   Jacobians and capacitor-branch currents in lane-major blocks, and
-   device parameters are streamed from a contiguous parameter slab
-   ({!Mosfet.fill_slab}).  Each lane keeps its own time/step/Newton
-   control state and is advanced one Newton iteration at a time by a
-   round-robin over the active set; a lane that converges its step
-   opens the next one, a lane that reaches [tstop] drops out of the
-   active set (convergence masking), and a lane that fails outright is
-   "peeled": its captured failure goes through the scalar recovery
-   ladder ({!escalate_rungs}) after the lockstep loop, so stragglers
-   never stall the batch.
-
-   Correctness contract: every lane follows EXACTLY the scalar
-   [run_compiled] control flow (same step-size decisions, same damped
-   Newton, same accumulation order per element), so a batch lane's
-   result is bitwise-identical to the scalar run of the same circuit
-   and its Newton/step/retry accounting matches per seed. *)
-
-module BA1 = Bigarray.Array1
-
-type fslab = Linalg.fslab
-
-let make_fslab n : fslab =
-  BA1.create Bigarray.Float64 Bigarray.C_layout (max 1 n)
-
-(* Lane phases for the lockstep state machine. *)
-let lp_open = 0 (* ready to open the next time step *)
-
-let lp_newton = 1 (* mid-step, iterating Newton *)
-
-let lp_done = 2 (* reached tstop *)
-
-let lp_peel = 3 (* failed; handed to the scalar recovery ladder *)
-
-(* Lane-major scratch slabs plus the per-lane control state the hot
-   iteration function needs.  Grown (never shrunk) when a larger batch
-   arrives; NOT thread-safe — one batch workspace per domain. *)
-type batch_workspace = {
-  bw_nfree : int;
-  bw_nnodes : int;
-  bw_nmos : int;
-  bw_ncaps : int;
-  mutable bw_lanes : int; (* lane capacity *)
-  mutable bw_mos : Mosfet.slab; (* lanes * nmos * slab_fields *)
-  mutable bw_capv : fslab; (* lanes * ncaps capacitance values *)
-  mutable bw_v : fslab; (* lanes * nnodes node voltages *)
-  mutable bw_vprev : fslab; (* lanes * nnodes, last accepted step *)
-  mutable bw_resid : fslab; (* lanes * nfree *)
-  mutable bw_rhs : fslab; (* lanes * nfree Newton updates *)
-  mutable bw_jac : fslab; (* lanes * nfree^2, row-major per lane *)
-  mutable bw_icap_a : fslab; (* lanes * ncaps cap branch currents *)
-  mutable bw_icap_b : fslab; (* double buffer, see bw_flip *)
-  mutable bw_flip : bool array; (* per lane: current icap is _b *)
-  mutable bw_meth : int array; (* per lane: 0 = BE, 1 = trapezoidal *)
-  mutable bw_dteff : float array; (* per lane: dt of the open step *)
-  mutable bw_fnorm : float array; (* per lane: last residual norm *)
-  mutable bw_k : int array; (* per lane: Newton iteration counter *)
-  mutable bw_liters : int array; (* per lane: diagnostics mirror of k *)
-  bw_perm : int array; (* shared pivot scratch (one lane at a time) *)
-  bw_ebuf : Mosfet.eval_buf;
-}
-
-let make_batch_workspace c ~lanes =
-  let n = Array.length c.free_nodes in
-  let nmos = Array.length c.mos_params in
-  let ncaps = Array.length c.cap_c in
-  let l = max 1 lanes in
-  {
-    bw_nfree = n;
-    bw_nnodes = c.n_nodes;
-    bw_nmos = nmos;
-    bw_ncaps = ncaps;
-    bw_lanes = l;
-    bw_mos = Mosfet.make_slab (l * nmos * Mosfet.slab_fields);
-    bw_capv = make_fslab (l * ncaps);
-    bw_v = make_fslab (l * c.n_nodes);
-    bw_vprev = make_fslab (l * c.n_nodes);
-    bw_resid = make_fslab (l * n);
-    bw_rhs = make_fslab (l * n);
-    bw_jac = make_fslab (l * n * n);
-    bw_icap_a = make_fslab (l * ncaps);
-    bw_icap_b = make_fslab (l * ncaps);
-    bw_flip = Array.make l false;
-    bw_meth = Array.make l 0;
-    bw_dteff = Array.make l 0.0;
-    bw_fnorm = Array.make l 0.0;
-    bw_k = Array.make l 0;
-    bw_liters = Array.make l 0;
-    bw_perm = Array.make n 0;
-    bw_ebuf = Mosfet.make_eval_buf ();
-  }
-
-let check_batch_workspace bws c =
-  if
-    bws.bw_nfree <> Array.length c.free_nodes
-    || bws.bw_nnodes <> c.n_nodes
-    || bws.bw_nmos <> Array.length c.mos_params
-    || bws.bw_ncaps <> Array.length c.cap_c
-  then
-    Slc_obs.Slc_error.invalid_input ~site:"Transient.run_batch"
-      "batch workspace does not match the compiled circuit"
-
-let grow_batch_workspace bws lanes =
-  if lanes > bws.bw_lanes then begin
-    let l = lanes in
-    let n = bws.bw_nfree in
-    bws.bw_lanes <- l;
-    bws.bw_mos <- Mosfet.make_slab (l * bws.bw_nmos * Mosfet.slab_fields);
-    bws.bw_capv <- make_fslab (l * bws.bw_ncaps);
-    bws.bw_v <- make_fslab (l * bws.bw_nnodes);
-    bws.bw_vprev <- make_fslab (l * bws.bw_nnodes);
-    bws.bw_resid <- make_fslab (l * n);
-    bws.bw_rhs <- make_fslab (l * n);
-    bws.bw_jac <- make_fslab (l * n * n);
-    bws.bw_icap_a <- make_fslab (l * bws.bw_ncaps);
-    bws.bw_icap_b <- make_fslab (l * bws.bw_ncaps);
-    bws.bw_flip <- Array.make l false;
-    bws.bw_meth <- Array.make l 0;
-    bws.bw_dteff <- Array.make l 0.0;
-    bws.bw_fnorm <- Array.make l 0.0;
-    bws.bw_k <- Array.make l 0;
-    bws.bw_liters <- Array.make l 0
-  end
-
-(* Slab analogues of add_f/add_j: residual/Jacobian accumulation into a
-   lane's block of the flat storage. *)
-let[@inline] [@slc.hot] badd_f (f : fslab) ro fi nd x =
-  let i = Array.unsafe_get fi nd in
-  if i >= 0 then
-    BA1.unsafe_set f (ro + i) (BA1.unsafe_get f (ro + i) +. x)
-
-let[@inline] [@slc.hot] badd_j (jd : fslab) jo n fi nd md x =
-  let i = Array.unsafe_get fi nd and j = Array.unsafe_get fi md in
-  if i >= 0 && j >= 0 then begin
-    let k = jo + (i * n) + j in
-    BA1.unsafe_set jd k (BA1.unsafe_get jd k +. x)
-  end
-
-(* One damped-Newton iteration for lane [l]: stamp (resistors, then
-   mosfets from the parameter slab, then gmin, then capacitors — the
-   scalar order), factor, solve, damp, update.  Returns -1 on a
-   singular Jacobian, 1 on convergence, 0 to keep iterating.  The body
-   allocates nothing; all state lives in the batch workspace slabs.
-   Arithmetic is the scalar path's, association and all, so the lane
-   iterates bitwise-identically to [newton]. *)
-let[@slc.hot] blane_iter bws c o ~l =
-  let n = bws.bw_nfree in
-  let nn = bws.bw_nnodes in
-  let vo = l * nn in
-  let ro = l * n in
-  let jo = l * (n * n) in
-  let v = bws.bw_v in
-  let vp = bws.bw_vprev in
-  let f = bws.bw_resid in
-  let jac = bws.bw_jac in
-  for i = 0 to n - 1 do
-    BA1.unsafe_set f (ro + i) 0.0
-  done;
-  for i = 0 to (n * n) - 1 do
-    BA1.unsafe_set jac (jo + i) 0.0
-  done;
-  let fi = c.free_index in
-  for k = 0 to Array.length c.res_r - 1 do
-    let a = Array.unsafe_get c.res_a k and b = Array.unsafe_get c.res_b k in
-    let g = 1.0 /. Array.unsafe_get c.res_r k in
-    let i = g *. (BA1.unsafe_get v (vo + a) -. BA1.unsafe_get v (vo + b)) in
-    badd_f f ro fi a i;
-    badd_f f ro fi b (-.i);
-    badd_j jac jo n fi a a g;
-    badd_j jac jo n fi a b (-.g);
-    badd_j jac jo n fi b b g;
-    badd_j jac jo n fi b a (-.g)
-  done;
-  let ebuf = bws.bw_ebuf in
-  let mbase = l * bws.bw_nmos * Mosfet.slab_fields in
-  for k = 0 to bws.bw_nmos - 1 do
-    let g = Array.unsafe_get c.mos_g k
-    and d = Array.unsafe_get c.mos_d k
-    and s = Array.unsafe_get c.mos_s k in
-    Mosfet.eval_slab_into bws.bw_mos
-      ~off:(mbase + (k * Mosfet.slab_fields))
-      ~vg:(BA1.unsafe_get v (vo + g))
-      ~vd:(BA1.unsafe_get v (vo + d))
-      ~vs:(BA1.unsafe_get v (vo + s))
-      ebuf;
-    let id = ebuf.Mosfet.b_id
-    and d_vg = ebuf.Mosfet.b_vg
-    and d_vd = ebuf.Mosfet.b_vd
-    and d_vs = ebuf.Mosfet.b_vs in
-    badd_f f ro fi d id;
-    badd_f f ro fi s (-.id);
-    badd_j jac jo n fi d g d_vg;
-    badd_j jac jo n fi d d d_vd;
-    badd_j jac jo n fi d s d_vs;
-    badd_j jac jo n fi s g (-.d_vg);
-    badd_j jac jo n fi s d (-.d_vd);
-    badd_j jac jo n fi s s (-.d_vs)
-  done;
-  for i = 0 to n - 1 do
-    let nd = Array.unsafe_get c.free_nodes i in
-    BA1.unsafe_set f (ro + i)
-      (BA1.unsafe_get f (ro + i) +. (o.gmin *. BA1.unsafe_get v (vo + nd)));
-    let kd = jo + (i * n) + i in
-    BA1.unsafe_set jac kd (BA1.unsafe_get jac kd +. o.gmin)
-  done;
-  let method_ =
-    if Array.unsafe_get bws.bw_meth l = 0 then Backward_euler else Trapezoidal
-  in
-  let dt = Array.unsafe_get bws.bw_dteff l in
-  let icap =
-    if Array.unsafe_get bws.bw_flip l then bws.bw_icap_b else bws.bw_icap_a
-  in
-  let co = l * bws.bw_ncaps in
-  for idx = 0 to bws.bw_ncaps - 1 do
-    let cap = BA1.unsafe_get bws.bw_capv (co + idx) in
-    let a = Array.unsafe_get c.cap_a idx and b = Array.unsafe_get c.cap_b idx in
-    let geq = cap_conductance ~method_ ~dt cap in
-    let i =
-      cap_current ~method_ ~dt cap
-        (BA1.unsafe_get v (vo + a) -. BA1.unsafe_get v (vo + b))
-        (BA1.unsafe_get vp (vo + a) -. BA1.unsafe_get vp (vo + b))
-        (BA1.unsafe_get icap (co + idx))
+    let rungs = List.filteri (fun i _ -> i < max_recovery) recovery_rungs in
+    let rec escalate attempted = function
+      | [] ->
+        (* Every rung failed: re-raise the ORIGINAL failure's
+           diagnostics, annotated with the rungs that were tried. *)
+        raise
+          (Slc_error.No_convergence
+             { d0 with Slc_error.recovery = List.rev attempted })
+      | (name, degrades, tweak) :: rest -> (
+        Telemetry.incr Telemetry.recovery_attempts;
+        match run_compiled ?workspace ?record (tweak opts) c with
+        | r ->
+          Telemetry.incr Telemetry.recovery_rescues;
+          if degrades then Telemetry.incr Telemetry.degraded_runs;
+          {
+            r with
+            r_degraded = degrades;
+            r_recovery = List.rev (name :: attempted);
+          }
+        | exception Slc_error.No_convergence _ ->
+          escalate (name :: attempted) rest)
     in
-    badd_f f ro fi a i;
-    badd_f f ro fi b (-.i);
-    badd_j jac jo n fi a a geq;
-    badd_j jac jo n fi a b (-.geq);
-    badd_j jac jo n fi b b geq;
-    badd_j jac jo n fi b a (-.geq)
-  done;
-  let fnorm = ref 0.0 in
-  for i = 0 to n - 1 do
-    fnorm := Float.max !fnorm (Float.abs (BA1.unsafe_get f (ro + i)))
-  done;
-  let fnorm = !fnorm in
-  Array.unsafe_set bws.bw_fnorm l fnorm;
-  Array.unsafe_set bws.bw_liters l (Array.unsafe_get bws.bw_k l);
-  if not (Linalg.lu_factor_flat jac ~off:jo ~n ~perm:bws.bw_perm) then -1
-  else begin
-    for i = 0 to n - 1 do
-      BA1.unsafe_set f (ro + i) (-.BA1.unsafe_get f (ro + i))
-    done;
-    Linalg.lu_solve_flat jac ~off:jo ~n ~perm:bws.bw_perm ~b:f ~boff:ro
-      ~x:bws.bw_rhs ~xoff:ro;
-    let dmax = ref 0.0 in
-    for i = 0 to n - 1 do
-      dmax := Float.max !dmax (Float.abs (BA1.unsafe_get bws.bw_rhs (ro + i)))
-    done;
-    let dmax = !dmax in
-    let scale = if dmax > 0.3 then 0.3 /. dmax else 1.0 in
-    for i = 0 to n - 1 do
-      let node = Array.unsafe_get c.free_nodes i in
-      BA1.unsafe_set v (vo + node)
-        (BA1.unsafe_get v (vo + node)
-        +. (scale *. BA1.unsafe_get bws.bw_rhs (ro + i)))
-    done;
-    if fnorm < o.abstol && dmax *. scale < o.dxtol then 1 else 0
-  end
-
-let run_batch ?workspace ?scalar_workspace ?record ?(max_recovery = 3) lanes =
-  let nl = Array.length lanes in
-  if nl = 0 then [||]
-  else begin
-    let c0 = snd lanes.(0) in
-    Array.iter
-      (fun (o, c) ->
-        if o.tstop <= 0.0 then
-          Slc_obs.Slc_error.invalid_input ~site:"Transient.run_batch"
-            "tstop <= 0";
-        if
-          c.n_nodes <> c0.n_nodes
-          || c.free_nodes <> c0.free_nodes
-          || c.mos_g <> c0.mos_g || c.mos_d <> c0.mos_d || c.mos_s <> c0.mos_s
-          || c.cap_a <> c0.cap_a || c.cap_b <> c0.cap_b
-          || c.res_r <> c0.res_r || c.res_a <> c0.res_a || c.res_b <> c0.res_b
-          || c.src_node <> c0.src_node
-        then
-          Slc_obs.Slc_error.invalid_input ~site:"Transient.run_batch"
-            "lanes do not share a circuit topology")
-      lanes;
-    (match record with
-    | Some nodes ->
-      Array.iter
-        (fun n ->
-          if n < 0 || n >= c0.n_nodes then
-            Slc_obs.Slc_error.invalid_input ~site:"Transient.run_batch"
-              "recorded node out of range")
-        nodes
-    | None -> ());
-    let bws =
-      match workspace with
-      | Some b ->
-        check_batch_workspace b c0;
-        grow_batch_workspace b nl;
-        b
-      | None -> make_batch_workspace c0 ~lanes:nl
-    in
-    let sws =
-      match scalar_workspace with
-      | Some w ->
-        check_workspace w c0;
-        w
-      | None -> make_workspace c0
-    in
-    let nn = bws.bw_nnodes in
-    let nrec =
-      match record with Some nodes -> Array.length nodes | None -> nn
-    in
-    let row_w = nrec + 1 in
-    (* Per-lane control state that the hot path never touches. *)
-    let t = Array.make nl 0.0 in
-    let dt = Array.make nl 0.0 in
-    let dtcap = Array.make nl 0.0 in
-    let stol = Array.make nl 0.0 in
-    let tnew = Array.make nl 0.0 in
-    let phase = Array.make nl lp_peel in
-    let steps = Array.make nl 0 in
-    let niter = Array.make nl 0 in
-    let breaks = Array.make nl [||] in
-    let bidx = Array.make nl 0 in
-    let rec_buf = Array.make nl [||] in
-    let rec_len = Array.make nl 0 in
-    let fail = Array.make nl None in
-    let vdc = Array.make nn 0.0 in
-    (* Waveform rows are accumulated per lane in a flat growable buffer:
-       [t; v_rec_0; ...; v_rec_{nrec-1}] per accepted step. *)
-    let push_row l tv =
-      let need = rec_len.(l) + row_w in
-      if Array.length rec_buf.(l) < need then begin
-        let cap = max need (max (8 * row_w) (2 * Array.length rec_buf.(l))) in
-        let nb = Array.make cap 0.0 in
-        Array.blit rec_buf.(l) 0 nb 0 rec_len.(l);
-        rec_buf.(l) <- nb
-      end;
-      let buf = rec_buf.(l) in
-      let base = rec_len.(l) in
-      let vo = l * nn in
-      buf.(base) <- tv;
-      (match record with
-      | None ->
-        for j = 0 to nn - 1 do
-          buf.(base + 1 + j) <- BA1.get bws.bw_v (vo + j)
-        done
-      | Some nodes ->
-        for j = 0 to nrec - 1 do
-          buf.(base + 1 + j) <- BA1.get bws.bw_v (vo + nodes.(j))
-        done);
-      rec_len.(l) <- need
-    in
-    (* Initialize every lane: fill its parameter slabs, solve its DC
-       operating point through the scalar machinery (bitwise-identical
-       fallback ladder and telemetry), and record the t = 0 row.  A
-       lane whose DC solve fails is peeled immediately — exactly the
-       state the scalar flow would hand to the recovery ladder. *)
-    for l = 0 to nl - 1 do
-      let o, c = lanes.(l) in
-      for k = 0 to bws.bw_nmos - 1 do
-        Mosfet.fill_slab c.mos_params.(k) bws.bw_mos
-          ~off:(((l * bws.bw_nmos) + k) * Mosfet.slab_fields)
-      done;
-      let co = l * bws.bw_ncaps in
-      for idx = 0 to bws.bw_ncaps - 1 do
-        BA1.set bws.bw_capv (co + idx) c.cap_c.(idx);
-        BA1.set bws.bw_icap_a (co + idx) 0.0
-      done;
-      bws.bw_flip.(l) <- false;
-      let vmax = source_vmax c ~at:0.0 in
-      Array.fill vdc 0 nn 0.0;
-      Array.iter (fun nd -> vdc.(nd) <- 0.5 *. vmax) c.free_nodes;
-      match dc_solve sws c o ~at:0.0 vdc with
-      | () ->
-        let vo = l * nn in
-        for j = 0 to nn - 1 do
-          BA1.set bws.bw_v (vo + j) vdc.(j)
-        done;
-        push_row l 0.0;
-        breaks.(l) <-
-          Array.of_list
-            (List.sort_uniq compare
-               (List.filter (fun bt -> bt > 0.0 && bt < o.tstop) o.breakpoints));
-        t.(l) <- 0.0;
-        dt.(l) <- o.dt_init;
-        dtcap.(l) <- o.dt_max;
-        stol.(l) <- 1e-3 *. Float.max vmax 1e-3;
-        phase.(l) <- lp_open
-      | exception Slc_error.No_convergence d ->
-        fail.(l) <- Some d;
-        phase.(l) <- lp_peel
-    done;
-    (* Step rejection (Newton failed or hit the iteration cap): restore
-       the last accepted state and halve the step, peeling the lane on
-       dt underflow with the same diagnostic payload the scalar path
-       raises.  Returns whether the lane stays in the active set. *)
-    let reject l o =
-      Telemetry.incr Telemetry.newton_rejects;
-      let vo = l * nn in
-      for j = 0 to nn - 1 do
-        BA1.set bws.bw_v (vo + j) (BA1.get bws.bw_vprev (vo + j))
-      done;
-      dt.(l) <- bws.bw_dteff.(l) /. 2.0;
-      if dt.(l) < o.dt_min then begin
-        fail.(l) <-
-          Some
-            {
-              Slc_error.phase = Slc_error.Transient_step;
-              time_reached = t.(l);
-              dt = dt.(l);
-              newton_iters = bws.bw_liters.(l);
-              residual = bws.bw_fnorm.(l);
-              recovery = [];
-              detail = "run: step size underflow";
-              context = Slc_error.no_context;
-            };
-        phase.(l) <- lp_peel;
-        false
-      end
-      else begin
-        phase.(l) <- lp_open;
-        true
-      end
-    in
-    (* Step acceptance: the scalar accept path verbatim — tail-coarsening
-       guard, capacitor-current commit into the spare buffer, waveform
-       row, breakpoint pop, dt_cap/dt update — then either open the next
-       step or retire the lane at tstop. *)
-    let accept l o c =
-      let iters = bws.bw_k.(l) in
-      let vo = l * nn in
-      let dvmax = ref 0.0 in
-      for j = 0 to Array.length c.free_nodes - 1 do
-        let nd = Array.unsafe_get c.free_nodes j in
-        dvmax :=
-          Float.max !dvmax
-            (Float.abs
-               (BA1.get bws.bw_v (vo + nd) -. BA1.get bws.bw_vprev (vo + nd)))
-      done;
-      let dvmax = !dvmax in
-      let dt_eff = bws.bw_dteff.(l) in
-      if dt_eff > o.dt_max && dvmax > 8.0 *. stol.(l) then begin
-        Telemetry.incr Telemetry.newton_rejects;
-        for j = 0 to nn - 1 do
-          BA1.set bws.bw_v (vo + j) (BA1.get bws.bw_vprev (vo + j))
-        done;
-        dt.(l) <- o.dt_max;
-        dtcap.(l) <- o.dt_max;
-        phase.(l) <- lp_open;
-        true
-      end
-      else begin
-        let method_ =
-          if bws.bw_meth.(l) = 0 then Backward_euler else Trapezoidal
-        in
-        let src = if bws.bw_flip.(l) then bws.bw_icap_b else bws.bw_icap_a in
-        let dst = if bws.bw_flip.(l) then bws.bw_icap_a else bws.bw_icap_b in
-        let co = l * bws.bw_ncaps in
-        for idx = 0 to bws.bw_ncaps - 1 do
-          let a = c.cap_a.(idx) and b = c.cap_b.(idx) in
-          BA1.set dst (co + idx)
-            (cap_current ~method_ ~dt:dt_eff
-               (BA1.get bws.bw_capv (co + idx))
-               (BA1.get bws.bw_v (vo + a) -. BA1.get bws.bw_v (vo + b))
-               (BA1.get bws.bw_vprev (vo + a) -. BA1.get bws.bw_vprev (vo + b))
-               (BA1.get src (co + idx)))
-        done;
-        bws.bw_flip.(l) <- not bws.bw_flip.(l);
-        niter.(l) <- niter.(l) + iters;
-        steps.(l) <- steps.(l) + 1;
-        let t_new = tnew.(l) in
-        t.(l) <- t_new;
-        push_row l t_new;
-        if
-          bidx.(l) < Array.length breaks.(l)
-          && t_new >= breaks.(l).(bidx.(l)) -. (1e-12 *. o.tstop)
-        then bidx.(l) <- bidx.(l) + 1;
-        if dvmax < stol.(l) then
-          dtcap.(l) <- Float.min (16.0 *. o.dt_max) (dtcap.(l) *. 1.5)
-        else begin
-          dtcap.(l) <- o.dt_max;
-          if dt.(l) > o.dt_max then dt.(l) <- o.dt_max
-        end;
-        if iters <= 5 then dt.(l) <- Float.min dtcap.(l) (dt.(l) *. 1.4)
-        else if iters > 15 then dt.(l) <- Float.max o.dt_min (dt.(l) *. 0.7);
-        if t.(l) < o.tstop -. (1e-9 *. o.tstop) then begin
-          phase.(l) <- lp_open;
-          true
-        end
-        else begin
-          Telemetry.add Telemetry.newton_iters niter.(l);
-          Telemetry.add Telemetry.transient_steps steps.(l);
-          phase.(l) <- lp_done;
-          false
-        end
-      end
-    in
-    (* The lockstep loop: round-robin one Newton iteration per active
-       lane, with swap-remove masking of finished/peeled lanes. *)
-    let active = Array.make nl 0 in
-    let n_active = ref 0 in
-    for l = 0 to nl - 1 do
-      if phase.(l) = lp_open then begin
-        active.(!n_active) <- l;
-        incr n_active
-      end
-    done;
-    while !n_active > 0 do
-      let i = ref 0 in
-      while !i < !n_active do
-        let l = active.(!i) in
-        let o, c = lanes.(l) in
-        if phase.(l) = lp_open then begin
-          let next_limit =
-            if
-              bidx.(l) < Array.length breaks.(l)
-              && breaks.(l).(bidx.(l)) > t.(l) +. (1e-12 *. o.tstop)
-            then Float.min breaks.(l).(bidx.(l)) o.tstop
-            else o.tstop
-          in
-          let dt_eff = Float.min dt.(l) (next_limit -. t.(l)) in
-          bws.bw_dteff.(l) <- dt_eff;
-          tnew.(l) <- t.(l) +. dt_eff;
-          let vo = l * nn in
-          for j = 0 to nn - 1 do
-            BA1.set bws.bw_vprev (vo + j) (BA1.get bws.bw_v (vo + j))
-          done;
-          for si = 0 to Array.length c.src_node - 1 do
-            BA1.set bws.bw_v (vo + c.src_node.(si)) (c.src_stim.(si) tnew.(l))
-          done;
-          bws.bw_meth.(l) <-
-            (match o.integrator with
-            | Backward_euler -> 0
-            | Trapezoidal -> if steps.(l) = 0 then 0 else 1);
-          bws.bw_k.(l) <- 1;
-          phase.(l) <- lp_newton
-        end;
-        let still =
-          if bws.bw_k.(l) > o.max_newton then reject l o
-          else
-            match blane_iter bws c o ~l with
-            | -1 -> reject l o
-            | 0 ->
-              bws.bw_k.(l) <- bws.bw_k.(l) + 1;
-              true
-            | _ -> accept l o c
-        in
-        if still then incr i
-        else begin
-          decr n_active;
-          active.(!i) <- active.(!n_active)
-        end
-      done
-    done;
-    (* Assemble results; peeled lanes go through the scalar recovery
-       ladder with the failure their in-batch attempt captured, so the
-       accounting (recovery_attempts, rescues, degraded_runs) matches
-       the scalar [run_recovered] flow exactly. *)
-    Array.init nl (fun l ->
-        if phase.(l) = lp_done then begin
-          let nsamp = rec_len.(l) / row_w in
-          let buf = rec_buf.(l) in
-          let r_times = Array.init nsamp (fun s -> buf.(s * row_w)) in
-          let r_volts =
-            Array.init nsamp (fun s ->
-                Array.init nrec (fun j -> buf.((s * row_w) + 1 + j)))
-          in
-          Ok
-            {
-              r_times;
-              r_volts;
-              r_record = record;
-              r_newton = niter.(l);
-              r_steps = steps.(l);
-              r_degraded = false;
-              r_recovery = [];
-            }
-        end
-        else begin
-          let o, c = lanes.(l) in
-          let d0 = Option.get fail.(l) in
-          match escalate_rungs ~workspace:sws ?record ~max_recovery o c d0 with
-          | r -> Ok r
-          | exception e -> Error e
-        end)
-  end
+    escalate [] rungs
 
 let times r = r.r_times
 

@@ -122,49 +122,6 @@ val run_recovered :
     attempt's operating-point solve.  If every rung fails, the ORIGINAL
     failure is re-raised with [recovery] listing the rungs tried. *)
 
-(** {2 Lockstep multi-seed batch engine}
-
-    The batch engine advances many per-seed variants of ONE circuit
-    topology ("lanes") through the transient together: state is
-    structure-of-arrays ([Bigarray] slabs holding every lane's node
-    voltages, residuals, Jacobians, capacitor currents and device
-    parameters in lane-major blocks), the stamping pattern is shared,
-    and a round-robin performs one Newton iteration per active lane so
-    converged lanes drop out (convergence masking) while stragglers are
-    peeled off to the scalar recovery ladder without stalling the rest.
-
-    Correctness contract: a lane follows exactly the scalar
-    {!run_compiled} control flow, so a batch of N lanes returns results
-    bitwise-identical to N scalar {!run_recovered} calls, with
-    identical per-lane Newton/step/telemetry accounting. *)
-
-type batch_workspace
-(** Lane-major scratch slabs for {!run_batch}, sized for one compiled
-    circuit shape and a lane capacity (grown automatically when a
-    larger batch arrives, so one long-lived workspace per domain
-    serves every batch of the same circuit).  NOT thread-safe. *)
-
-val make_batch_workspace : compiled -> lanes:int -> batch_workspace
-
-val run_batch :
-  ?workspace:batch_workspace ->
-  ?scalar_workspace:workspace ->
-  ?record:int array ->
-  ?max_recovery:int ->
-  (options * compiled) array ->
-  (result, exn) Stdlib.result array
-(** [run_batch lanes] simulates every [(options, compiled)] lane — all
-    sharing the topology of lane 0 (typically {!respecialize}d from one
-    compile) — and returns per-lane results in lane order.  A lane that
-    fails its DC solve or underflows its step size is peeled: its
-    captured failure enters the same escalation ladder as
-    {!run_recovered} (at most [max_recovery] rungs, run through
-    [scalar_workspace]), so a rescued lane comes back [Ok] with
-    {!degraded}/{!recovery_log} set and an unrecoverable lane comes
-    back [Error] with the usual [No_convergence] payload.  Lanes never
-    poison each other: every lane's result — values, iteration counts,
-    telemetry — is identical to what the scalar path would produce. *)
-
 val dc_sweep_compiled :
   ?workspace:workspace ->
   compiled ->

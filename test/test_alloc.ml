@@ -47,40 +47,6 @@ let test_warm_simulate_is_cached () =
     Alcotest.(check bool)
       "second simulate reuses the compiled template" true (hits1 > hits0)
 
-(* A warmed 16-lane [Harness.simulate_batch] measures ~7.9k minor words
-   per lane — under a quarter of the scalar figure, since waveform rows
-   are buffered in flat float slabs and the per-call option/netlist
-   plumbing is paid once per batch.  Gate at measurement + ~15%. *)
-let batch_budget_words = 9_200.0
-
-let test_warm_batch_allocation () =
-  (* Per-lane allocation of a warmed [simulate_batch]: the SoA batch
-     engine amortizes workspace and template setup across the batch, so
-     each lane must land well below the scalar per-call budget. *)
-  let tech = Tech.n14 in
-  let arc = List.hd (Arc.all_of_cell Cells.inv) in
-  let lanes =
-    Array.init 16 (fun i ->
-        ( Slc_device.Process.nominal,
-          {
-            Harness.sin = 5e-12;
-            cload = 2e-15 *. (1.0 +. (0.02 *. float_of_int i));
-            vdd = 0.8;
-          } ))
-  in
-  ignore (Harness.simulate_batch tech arc lanes);
-  ignore (Harness.simulate_batch tech arc lanes);
-  let before = Gc.minor_words () in
-  ignore (Harness.simulate_batch tech arc lanes);
-  let per_lane =
-    (Gc.minor_words () -. before) /. float_of_int (Array.length lanes)
-  in
-  if per_lane > batch_budget_words then
-    Alcotest.failf
-      "warmed Harness.simulate_batch allocated %.0f minor words per lane \
-       (budget %.0f): boxing crept back into the batch hot path"
-      per_lane batch_budget_words
-
 let () =
   Alcotest.run "alloc"
     [
@@ -90,7 +56,5 @@ let () =
             test_warm_simulate_allocation;
           Alcotest.test_case "template cache hit" `Quick
             test_warm_simulate_is_cached;
-          Alcotest.test_case "warmed batch fits per-lane budget" `Quick
-            test_warm_batch_allocation;
         ] );
     ]

@@ -648,16 +648,29 @@ let test_simulate_batch_matches_scalar () =
     Array.map (fun (seed, pt) -> Harness.simulate ~seed tech arc pt) lanes
   in
   let batch = Harness.simulate_batch tech arc lanes in
-  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) batch;
-  (* Forcing tiny chunks exercises the chunk-split + domain-pool path
-     and must not change anything either. *)
-  let chunked = Harness.simulate_batch ~chunk:2 tech arc lanes in
-  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) chunked
+  Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) batch
+
+(* The ["count"] of a span in [Telemetry.dump_json]'s output. *)
+let span_count json name =
+  let key = Printf.sprintf "\"%s\": { \"count\": " name in
+  let n = String.length key and h = String.length json in
+  let rec find i =
+    if i + n > h then Alcotest.failf "span %s missing from dump_json" name
+    else if String.sub json i n = key then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < h && json.[!stop] >= '0' && json.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub json start (!stop - start))
 
 let test_simulate_batch_counts () =
   (* One counted simulation per lane per attempt, in both the global
-     sim counter and the telemetry stream — batching must not merge
-     per-seed accounting into per-batch accounting. *)
+     sim counter and the telemetry stream, and one harness.simulate span
+     call per lane — batching must not merge per-seed accounting into
+     per-batch accounting. *)
   let arc = batch_arc () in
   let lanes = batch_lanes () in
   Harness.reset_sim_count ();
@@ -668,12 +681,19 @@ let test_simulate_batch_counts () =
   Harness.reset_sim_count ();
   let module T = Slc_obs.Telemetry in
   let tel_before = if T.on () then T.read T.simulations else 0 in
+  let spans_before =
+    if T.on () then span_count (T.dump_json ()) "harness.simulate" else 0
+  in
   ignore (Harness.simulate_batch tech arc lanes);
   Alcotest.(check int) "sim_count: one per lane" scalar_sims
     (Harness.sim_count ());
-  if T.on () then
+  if T.on () then begin
     Alcotest.(check int) "telemetry simulations: one per lane" scalar_sims
-      (T.read T.simulations - tel_before)
+      (T.read T.simulations - tel_before);
+    Alcotest.(check int) "harness.simulate span: one call per lane"
+      (Array.length lanes)
+      (span_count (T.dump_json ()) "harness.simulate" - spans_before)
+  end
 
 let test_simulate_batch_fault_peel () =
   (* A fault injected into one lane must fail only that lane, with the
