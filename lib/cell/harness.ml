@@ -194,11 +194,8 @@ type template = {
    the capacitor). *)
 let template_point = { sin = 1e-12; cload = 1e-15; vdd = 1.0 }
 
-let[@slc.domain_safe "guarded by templates_lock"] templates :
-    (Tech.t * Arc.t, template) Hashtbl.t =
-  Hashtbl.create 32
-
-let templates_lock = Mutex.create ()
+let templates : (Tech.t * Arc.t, template) Slc_num.Memo.t =
+  Slc_num.Memo.create ()
 
 let build_template (tech : Tech.t) (arc : Arc.t) =
   let r = { rec_bases = []; rec_caps = [] } in
@@ -218,31 +215,18 @@ let build_template (tech : Tech.t) (arc : Arc.t) =
   }
 
 let template tech arc =
-  let key = (tech, arc) in
-  Mutex.lock templates_lock;
-  match Hashtbl.find_opt templates key with
-  | Some t ->
-    Mutex.unlock templates_lock;
-    t
-  | None ->
-    let result =
-      match build_template tech arc with
-      | t ->
-        Hashtbl.replace templates key t;
-        Ok t
-      | exception e -> Error e
-    in
-    Mutex.unlock templates_lock;
-    (match result with Ok t -> t | Error e -> raise e)
+  Slc_num.Memo.find_or_build templates (tech, arc) (fun () ->
+      build_template tech arc)
 
 (* Per-domain view of the template cache, plus a per-domain scratch
    workspace per (tech, arc).  Templates are immutable and built once in
    the process-wide table above; each domain then keeps its own
-   reference so the hot path never takes [templates_lock].  Workspaces
-   are mutable solver scratch and must not be shared across domains —
-   owning one per (domain, tech, arc) lets the pool's long-lived workers
-   reuse them across every simulate call instead of allocating one per
-   call.  [Transient.respecialize] preserves the system dimensions, so a
+   reference so the hot path never takes a memo lock.  Workspaces are
+   mutable solver scratch and must not be shared across domains or
+   threads — owning one per (domain, tech, arc), checked out for the
+   length of a simulate call, lets the pool's long-lived workers reuse
+   them across every call instead of allocating one per call.
+   [Transient.respecialize] preserves the system dimensions, so a
    workspace sized from the template's compiled form fits every
    specialization of it. *)
 let domain_caches :
@@ -250,8 +234,7 @@ let domain_caches :
     Slc_num.Parallel.Slot.t =
   Slc_num.Parallel.Slot.make (fun () -> Hashtbl.create 8)
 
-let domain_template tech arc =
-  let tbl = Slc_num.Parallel.Slot.get domain_caches in
+let domain_template tbl tech arc =
   let key = (tech, arc) in
   match Hashtbl.find_opt tbl key with
   | Some entry ->
@@ -415,7 +398,10 @@ let simulate ?(seed = Process.nominal) tech (arc : Arc.t) point =
     Telemetry.incr Telemetry.sim_failures;
     raise (injected_fault ctx)
   | _ -> ());
-  let tmpl, workspace = domain_template tech arc in
+  (* The workspace is used only inside this checkout: server threads
+     sharing a domain must never step on each other's solver scratch. *)
+  Slc_num.Parallel.Slot.with_ domain_caches @@ fun tbl ->
+  let tmpl, workspace = domain_template tbl tech arc in
   let compiled = specialize tmpl tech arc ~seed point in
   let rec attempt retries window =
     if retries > 3 then begin

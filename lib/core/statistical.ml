@@ -142,7 +142,7 @@ let adaptive_seed_datasets ~record_degraded ~record_failed ~min_points
           let p =
             if not dirty.(si) then params.(si)
             else
-              let workspace = Slc_num.Parallel.Slot.get lm_slot in
+              Slc_num.Parallel.Slot.with_ lm_slot @@ fun workspace ->
               match method_ with
               | Bayes prior ->
                 Map_fit.fit_params ~workspace ~prior:prior.Prior.delay ~tech
@@ -154,50 +154,54 @@ let adaptive_seed_datasets ~record_degraded ~record_failed ~min_points
             Array.length obs >= 2
             && Extract_lse.avg_abs_rel_error p obs > ad.a_gpr_threshold
           in
-          let score =
-            if use_gpr then begin
-              let workspace = Slc_num.Parallel.Slot.get gpr_slot in
+          let pick score =
+            let best = ref (-1) and best_score = ref neg_infinity in
+            for ci = 0 to nc - 1 do
+              if not used.(si).(ci) then begin
+                let s = score ci in
+                (* Strict [>]: ties resolve to the lowest candidate
+                   index, keeping the selection deterministic. *)
+                if s > !best_score then begin
+                  best := ci;
+                  best_score := s
+                end
+              end
+            done;
+            if !best < 0 then
+              (* All remaining scores were non-finite; fall back to the
+                 first unused candidate rather than stalling. *)
+              (try
+                 for ci = 0 to nc - 1 do
+                   if not used.(si).(ci) then begin
+                     best := ci;
+                     raise Exit
+                   end
+                 done
+               with Exit -> ());
+            !best
+          in
+          let best =
+            if use_gpr then
+              (* The GPR scores read the workspace, so every one of them
+                 is taken inside the checkout. *)
+              Slc_num.Parallel.Slot.with_ gpr_slot @@ fun workspace ->
               let g =
                 Gpr.fit ~workspace tech
                   (Array.map (fun o -> o.Extract_lse.point) obs)
                   (Array.map (fun o -> o.Extract_lse.value) obs)
               in
-              fun ci -> Gpr.predict_var ~workspace g cands.(si).(ci)
-            end
+              pick (fun ci -> Gpr.predict_var ~workspace g cands.(si).(ci))
             else begin
               let information =
                 Map_fit.information ?prior:prior_delay ~tech ~at:p obs
               in
-              fun ci ->
-                Map_fit.predictive_gain ?prior:prior_delay ~tech ~information
-                  ~at:p ~ieff:ieffs.(si).(ci)
-                  cands.(si).(ci)
+              pick (fun ci ->
+                  Map_fit.predictive_gain ?prior:prior_delay ~tech ~information
+                    ~at:p ~ieff:ieffs.(si).(ci)
+                    cands.(si).(ci))
             end
           in
-          let best = ref (-1) and best_score = ref neg_infinity in
-          for ci = 0 to nc - 1 do
-            if not used.(si).(ci) then begin
-              let s = score ci in
-              (* Strict [>]: ties resolve to the lowest candidate
-                 index, keeping the selection deterministic. *)
-              if s > !best_score then begin
-                best := ci;
-                best_score := s
-              end
-            end
-          done;
-          if !best < 0 then
-            (* All remaining scores were non-finite; fall back to the
-               first unused candidate rather than stalling. *)
-            (try
-               for ci = 0 to nc - 1 do
-                 if not used.(si).(ci) then begin
-                   best := ci;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-          (!best, p))
+          (best, p))
         (Array.init ns Fun.id)
     in
     Array.iteri
@@ -407,7 +411,7 @@ let extract_seed_models ?(min_points = 2) ~design ~method_ ~tech ~arc ~seeds
         | Adaptive ad ->
           Some
             (fun ds p ->
-              let workspace = Slc_num.Parallel.Slot.get gpr_slot in
+              Slc_num.Parallel.Slot.with_ gpr_slot @@ fun workspace ->
               Char_flow.with_gpr_fallback ~workspace
                 ~threshold:ad.a_gpr_threshold tech ds p)
         | Curated | Random_per_seed _ -> None
@@ -420,9 +424,9 @@ let extract_seed_models ?(min_points = 2) ~design ~method_ ~tech ~arc ~seeds
           match datasets.(si) with
           | None -> None
           | Some ds ->
-            let workspace = Slc_num.Parallel.Slot.get lm_slot in
             let seed = seeds.(si) in
             let p =
+              Slc_num.Parallel.Slot.with_ lm_slot @@ fun workspace ->
               match method_ with
               | Bayes prior ->
                 Char_flow.train_bayes_on ~workspace ~seed ~prior tech ds

@@ -33,12 +33,32 @@ let sequential f =
   flag := true;
   Fun.protect ~finally:(fun () -> flag := saved) f
 
+(* A slot is domain-local, but a domain may run several systhreads (the
+   server's connection threads all run on the main domain), so the
+   domain's value is checked out, not merely read: a thread that finds
+   it already out works on a fresh [init ()] instead of sharing it.
+   [Atomic.exchange] makes the checkout indivisible with respect to
+   thread switches.  The returned [Some] cell is the one taken, so a
+   checkout allocates nothing beyond the caller's closure. *)
 module Slot = struct
-  type 'a t = 'a Domain.DLS.key
+  type 'a t = { key : 'a option Atomic.t Domain.DLS.key; init : unit -> 'a }
 
-  let make init = Domain.DLS.new_key init
+  let make init =
+    { key = Domain.DLS.new_key (fun () -> Atomic.make (Some (init ()))); init }
 
-  let get = Domain.DLS.get
+  let with_ s f =
+    let cell = Domain.DLS.get s.key in
+    match Atomic.exchange cell None with
+    | None -> f (s.init ())
+    | Some v as taken -> (
+      match f v with
+      | r ->
+        Atomic.set cell taken;
+        r
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.set cell taken;
+        Printexc.raise_with_backtrace e bt)
 end
 
 module Pool = struct

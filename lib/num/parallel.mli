@@ -63,14 +63,25 @@ val shutdown : unit -> unit
 (** Per-domain state slots, for worker-owned caches and scratch
     workspaces.  A slot holds one value per domain, created on first
     access from that domain; pool workers are long-lived, so slot
-    state persists across successive maps. *)
+    state persists across successive maps.
+
+    Several systhreads may run on one domain (the server's connection
+    threads all share the main domain), so a value is used only inside
+    a checkout: a thread that finds its domain's value already checked
+    out gets a fresh [init ()] for the duration of its call, never a
+    shared one. *)
 module Slot : sig
   type 'a t
 
   val make : (unit -> 'a) -> 'a t
   (** [make init] declares a slot; [init] runs once per domain, on
-      that domain, at first [get]. *)
+      that domain, at first use — and again for each checkout that
+      finds the domain's value taken. *)
 
-  val get : 'a t -> 'a
-  (** This domain's instance. *)
+  val with_ : 'a t -> ('a -> 'b) -> 'b
+  (** [with_ slot f] checks this domain's value out, runs [f] on it
+      and returns it (also when [f] raises).  If the value is already
+      checked out — by another thread on this domain, or by an
+      enclosing [with_] — [f] runs on a fresh, unshared [init ()]
+      that is then dropped.  The value must not escape [f]. *)
 end

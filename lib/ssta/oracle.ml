@@ -10,41 +10,18 @@ type t = {
   label : string;
 }
 
-(* The per-oracle arc memo is queried concurrently: a levelized
-   parallel timing pass ([Sdag.forward_compiled]) calls [oracle.query]
-   from every pool domain on shard-cache misses, and the long-lived
-   characterization server answers many connections against one oracle
-   value.  The table is therefore mutex-guarded with
-   first-publication-wins insertion; [build] runs OUTSIDE the lock —
-   predictor training costs simulations (possibly through the worker
-   pool itself) and must not serialize on it.  Builds are deterministic,
-   so a losing build produces the same value the winner published and
-   discarding it never changes results. *)
-let memo_by_arc build =
-  let table : (string, 'a) Hashtbl.t = Hashtbl.create 16 in
-  let lock = Mutex.create () in
-  fun arc ->
-    let key = Arc.name arc in
-    Mutex.lock lock;
-    let hit = Hashtbl.find_opt table key in
-    Mutex.unlock lock;
-    match hit with
-    | Some v -> v
-    | None ->
-      let v = build arc in
-      Mutex.lock lock;
-      let v =
-        match Hashtbl.find_opt table key with
-        | Some first -> first
-        | None ->
-          Hashtbl.add table key v;
-          v
-      in
-      Mutex.unlock lock;
-      v
+(* Per-arc memos are queried concurrently: a levelized parallel timing
+   pass ([Sdag.forward_compiled]) calls [oracle.query] from every pool
+   domain on shard-cache misses, and the long-lived characterization
+   server answers many connections against one oracle value.  [Memo]
+   runs [build] outside its locks — predictor training costs
+   simulations, possibly through the worker pool itself. *)
+let per_arc build =
+  let memo = Slc_num.Memo.create () in
+  fun arc -> Slc_num.Memo.find_or_build memo (Arc.name arc) (fun () -> build arc)
 
 let of_predictors ~label build =
-  let get = memo_by_arc build in
+  let get = per_arc build in
   {
     label;
     query =
@@ -83,100 +60,25 @@ let of_simulator ?seed tech =
    Oracle queries are pure (training happens once per arc; predictors
    and tables are deterministic functions of the point), so repeated
    identical queries — a fanout net driving many gates, a path re-timed
-   at the same slew — can reuse the first answer.  With no slew bucket
-   the cache is exact: keys are the literal point coordinates, and
-   cached results are bitwise identical to uncached ones.  With a
-   bucket, the input slew is quantized to a multiple of the bucket and
-   the underlying oracle is queried AT the quantized point, so nearby
-   slews share one answer deterministically (an approximation the
-   caller opts into, bounded by the oracle's sensitivity over one
-   bucket). *)
+   at the same slew — can reuse the first answer.  Keys are the literal
+   point coordinates, so cached results are bitwise identical to
+   uncached ones, and [Memo]'s shards let the levelized parallel pass
+   contend on independent locks. *)
 
-(* The table is sharded by key hash so that concurrent queries from a
-   levelized parallel timing pass contend on independent locks instead
-   of serializing on one.  Sharding is invisible to callers: each key
-   lives in exactly one shard, lookups and first-publication-wins
-   insertion behave as before, and results stay bitwise identical
-   (queries are pure, so WHICH caller computes a value never matters —
-   only that all callers then see the same published answer). *)
+type cache = (string * float * float * float, float * float) Slc_num.Memo.t
 
-type shard = {
-  s_tbl : (string * float * float * float, float * float) Hashtbl.t;
-  s_lock : Mutex.t;
-}
+let make_cache () =
+  Slc_num.Memo.create ~hits:Telemetry.oracle_hits
+    ~misses:Telemetry.oracle_misses ()
 
-type cache = {
-  c_shards : shard array; (* length is a power of two *)
-  c_bucket : float option;
-}
-
-let default_shards = 16
-
-let make_cache ?slew_bucket ?(shards = default_shards) () =
-  (match slew_bucket with
-  | Some b when b <= 0.0 -> Slc_obs.Slc_error.invalid_input ~site:"Oracle.make_cache" "bucket <= 0"
-  | _ -> ());
-  if shards <= 0 then
-    Slc_obs.Slc_error.invalid_input ~site:"Oracle.make_cache" "shards <= 0";
-  (* Round up to a power of two so shard selection is a mask. *)
-  let n = ref 1 in
-  while !n < shards do
-    n := !n * 2
-  done;
-  {
-    c_shards =
-      Array.init !n (fun _ ->
-          { s_tbl = Hashtbl.create 64; s_lock = Mutex.create () });
-    c_bucket = slew_bucket;
-  }
-
-let cache_size c =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.s_lock;
-      let n = Hashtbl.length s.s_tbl in
-      Mutex.unlock s.s_lock;
-      acc + n)
-    0 c.c_shards
+let cache_size = Slc_num.Memo.size
 
 let cached c oracle =
-  let mask = Array.length c.c_shards - 1 in
   let query arc (point : Harness.point) =
-    let point =
-      match c.c_bucket with
-      | None -> point
-      | Some b ->
-        (* Quantize to a positive multiple of the bucket (a slew of 0
-           would be an invalid simulation condition). *)
-        let q = Float.max 1.0 (Float.round (point.Harness.sin /. b)) in
-        { point with Harness.sin = q *. b }
-    in
     let key =
       (Arc.name arc, point.Harness.sin, point.Harness.cload, point.Harness.vdd)
     in
-    let s = c.c_shards.(Hashtbl.hash key land mask) in
-    Mutex.lock s.s_lock;
-    let hit = Hashtbl.find_opt s.s_tbl key in
-    Mutex.unlock s.s_lock;
-    match hit with
-    | Some r ->
-      Telemetry.incr Telemetry.oracle_hits;
-      r
-    | None ->
-      Telemetry.incr Telemetry.oracle_misses;
-      let r = oracle.query arc point in
-      Mutex.lock s.s_lock;
-      (* Under a race the first publication wins, so every caller sees
-         one consistent answer. *)
-      let r =
-        match Hashtbl.find_opt s.s_tbl key with
-        | Some first -> first
-        | None ->
-          Hashtbl.add s.s_tbl key r;
-          r
-      in
-      Mutex.unlock s.s_lock;
-      r
+    Slc_num.Memo.find_or_build c key (fun () -> oracle.query arc point)
   in
   { oracle with query }
 
@@ -184,122 +86,50 @@ let cached c oracle =
 (* Process-wide trained-predictor cache for [bayes_bank].
 
    Training is deterministic and pure — the same (prior, tech, k, seed,
-   arc) always yields the same predictor — so, exactly like the
-   compiled-testbench cache in Harness, there is no reason to pay the
-   k simulations again because a caller rebuilt the oracle value.
-   Priors are compared physically (a registry assigns each distinct
-   prior pair an id): value equality over closures is not decidable,
-   and the flows that matter reuse one learned prior object. *)
+   arc, fallback) always yields the same predictor — so there is no
+   reason to pay the k simulations again because a caller rebuilt the
+   oracle value.  The key is the persistent store's predictor key,
+   computed from the prior's content fingerprint: a content-equal prior
+   (e.g. one reloaded from disk) hits, and the in-process and on-disk
+   tiers share one key scheme. *)
 
-let[@slc.domain_safe "guarded by prior_registry_lock"] prior_registry :
-    (Slc_core.Prior.pair * int) list ref =
-  ref []
+let trained : (Slc_store.Store.key, Char_flow.predictor) Slc_num.Memo.t =
+  Slc_num.Memo.create ~hits:Telemetry.trained_hits
+    ~misses:Telemetry.trained_misses ()
 
-let prior_registry_lock = Mutex.create ()
-
-let prior_id prior =
-  Mutex.lock prior_registry_lock;
-  let id =
-    match List.find_opt (fun (p, _) -> p == prior) !prior_registry with
-    | Some (_, id) -> id
-    | None ->
-      let id = List.length !prior_registry in
-      prior_registry := (prior, id) :: !prior_registry;
-      id
-  in
-  Mutex.unlock prior_registry_lock;
-  id
-
-type trained_key =
-  int
-  * string
-  * int
-  * Slc_device.Process.seed option
-  * string
-  * float option (* GPR-fallback threshold, None = analytical only *)
-
-let[@slc.domain_safe "guarded by trained_lock"] trained :
-    (trained_key, Char_flow.predictor) Hashtbl.t =
-  Hashtbl.create 32
-
-let trained_lock = Mutex.create ()
+let train ?seed ?gpr_fallback ~prior tech arc ~k =
+  match gpr_fallback with
+  | None -> Char_flow.train_bayes ?seed ~prior tech arc ~k
+  | Some threshold ->
+    (* Same curated design and MAP fit as [train_bayes], but the
+       dataset is kept so the analytical fit can be checked against it
+       and replaced by a GPR model when its residuals exceed the
+       threshold. *)
+    let ds =
+      Char_flow.simulate_dataset ?seed tech arc
+        (Slc_core.Input_space.fitting_points tech ~k)
+    in
+    let p = Char_flow.train_bayes_on ?seed ~prior tech ds in
+    Char_flow.with_gpr_fallback ~threshold tech ds p
 
 let bayes_bank ?seed ?store ?gpr_fallback ~prior tech ~k =
-  let pid = prior_id prior in
-  (* The persistent tier keys by prior content, not physical identity:
-     serialize the prior once per bank, not once per arc. *)
-  let persistent =
-    Option.map
-      (fun st -> (st, Slc_store.Store.prior_fingerprint prior))
-      store
-  in
+  (* Serialize the prior once per bank, not once per arc. *)
+  let prior_fp = Slc_store.Store.prior_fingerprint prior in
   of_predictors ~label:(Printf.sprintf "bayes-k%d" k) (fun arc ->
       let key =
-        (pid, tech.Slc_device.Tech.name, k, seed, Arc.name arc, gpr_fallback)
+        Slc_store.Store.predictor_key ?gpr:gpr_fallback ~prior_fp ~tech ~arc ~k
+          ~seed ()
       in
-      Mutex.lock trained_lock;
-      let hit = Hashtbl.find_opt trained key in
-      Mutex.unlock trained_lock;
-      match hit with
-      | Some p ->
-        Telemetry.incr Telemetry.trained_hits;
-        p
-      | None ->
-        Telemetry.incr Telemetry.trained_misses;
-        let skey =
-          Option.map
-            (fun (st, prior_fp) ->
-              ( st,
-                Slc_store.Store.predictor_key ?gpr:gpr_fallback ~prior_fp
-                  ~tech ~arc ~k ~seed () ))
-            persistent
-        in
-        let p =
-          match skey with
-          | None -> None
-          | Some (st, skey) -> (
-            match Slc_store.Store.find_predictor ?seed st ~key:skey ~tech ~arc with
+      Slc_num.Memo.find_or_build trained key (fun () ->
+          match store with
+          | None -> train ?seed ?gpr_fallback ~prior tech arc ~k
+          | Some st -> (
+            match Slc_store.Store.find_predictor ?seed st ~key ~tech ~arc with
             | Some p ->
               Telemetry.incr Telemetry.store_hits;
-              Some p
+              p
             | None ->
               Telemetry.incr Telemetry.store_misses;
-              None)
-        in
-        let p =
-          match p with
-          | Some p -> p
-          | None ->
-            (* Train outside the lock: training runs simulations
-               (possibly through the worker pool) and must not
-               serialize on it. *)
-            let p =
-              match gpr_fallback with
-              | None -> Char_flow.train_bayes ?seed ~prior tech arc ~k
-              | Some threshold ->
-                (* Same curated design and MAP fit as [train_bayes],
-                   but the dataset is kept so the analytical fit can
-                   be checked against it and replaced by a GPR model
-                   when its residuals exceed the threshold. *)
-                let ds =
-                  Char_flow.simulate_dataset ?seed tech arc
-                    (Slc_core.Input_space.fitting_points tech ~k)
-                in
-                let p = Char_flow.train_bayes_on ?seed ~prior tech ds in
-                Char_flow.with_gpr_fallback ~threshold tech ds p
-            in
-            Option.iter
-              (fun (st, skey) -> Slc_store.Store.put_predictor st ~key:skey p)
-              skey;
-            p
-        in
-        Mutex.lock trained_lock;
-        let p =
-          match Hashtbl.find_opt trained key with
-          | Some first -> first
-          | None ->
-            Hashtbl.add trained key p;
-            p
-        in
-        Mutex.unlock trained_lock;
-        p)
+              let p = train ?seed ?gpr_fallback ~prior tech arc ~k in
+              Slc_store.Store.put_predictor st ~key p;
+              p)))

@@ -10,19 +10,20 @@ type t = {
   label : string;
 }
 
+val per_arc : (Slc_cell.Arc.t -> 'a) -> Slc_cell.Arc.t -> 'a
+(** [per_arc build] is [build] memoized per arc name in a fresh
+    {!Slc_num.Memo}: domain-safe, first-build-wins, [build] running
+    outside any lock (so it must be deterministic). *)
+
 val of_predictors :
   label:string ->
   (Slc_cell.Arc.t -> Slc_core.Char_flow.predictor) ->
   t
 (** Backed by per-arc predictors (e.g. {!Slc_core.Char_flow.train_bayes});
-    the function is called once per distinct arc and memoized.
-
-    The memo table is domain-safe: concurrent queries (the levelized
-    parallel timing pass, the characterization server) publish
-    first-build-wins under a mutex, with the build itself running
-    outside the lock.  Builds must be deterministic — concurrent misses
-    on the same arc may build more than once, and every caller then
-    sees the single published value. *)
+    the function is memoized with {!per_arc}.  Concurrent queries (the
+    levelized parallel timing pass, the characterization server) may
+    build one arc more than once; every caller then sees the single
+    published value. *)
 
 val of_library : Slc_cell.Library.t -> t
 (** Backed by interpolated NLDM tables; raises [Not_found] when queried
@@ -51,21 +52,21 @@ val bayes_bank :
     participates in both cache tiers' keys; without it, behaviour and
     store keys are byte-identical to earlier releases.
 
-    Trained predictors are cached process-wide, keyed by (prior
-    {e physical identity}, technology name, [k], [seed], arc name,
-    fallback threshold):
-    rebuilding a [bayes_bank] value with the same learned prior object
-    reuses the existing predictors and costs zero simulations.
-    Training is deterministic, so the cache never changes results.
+    Trained predictors are cached process-wide, keyed by prior
+    {e content} ({!Slc_store.Store.prior_fingerprint}), technology
+    fingerprint, [k], [seed], arc and fallback threshold — the
+    {!Slc_store.Store.predictor_key} the persistent tier uses too.
+    Rebuilding a [bayes_bank] value with the same prior, or with a
+    content-equal copy of it (e.g. one reloaded from disk), reuses the
+    existing predictors and costs zero simulations.  Training is
+    deterministic, so the cache never changes results.
 
     With [?store], a second {e persistent} tier sits behind the
     in-process cache: an arc missing from the process cache is looked
-    up in the artifact store — keyed by prior {e content}
-    ({!Slc_store.Store.prior_fingerprint}), technology fingerprint,
-    arc, [k] and [seed] — and only trained (then persisted) when the
-    store misses too.  A later process querying the same bank pays
-    zero simulations, and the rebuilt predictors answer bitwise
-    identically to freshly trained ones. *)
+    up in the artifact store under the same key, and only trained
+    (then persisted) when the store misses too.  A later process
+    querying the same bank pays zero simulations, and the rebuilt
+    predictors answer bitwise identically to freshly trained ones. *)
 
 (** {2 Query-result caching} *)
 
@@ -75,18 +76,12 @@ type cache
     answer — fanout nets and repeated path timings stop re-deriving
     identical arc delays. *)
 
-val make_cache : ?slew_bucket:float -> ?shards:int -> unit -> cache
-(** With no [slew_bucket] the cache is exact (keys are the literal
-    point coordinates; results are bitwise identical to the uncached
-    oracle).  With a bucket (seconds, > 0), input slews are quantized
-    to positive multiples of it and the oracle is queried at the
-    quantized point: nearby slews deterministically share one answer,
-    trading bounded accuracy for fewer queries.
-
-    The table is internally sharded by key hash ([?shards], default 16,
-    rounded up to a power of two) so concurrent queries — a levelized
-    parallel timing pass — contend on independent locks rather than
-    serializing on one.  Sharding never changes results. *)
+val make_cache : unit -> cache
+(** An empty exact cache: keys are the literal point coordinates, so
+    results are bitwise identical to the uncached oracle.  It is a
+    sharded {!Slc_num.Memo}, so concurrent queries — a levelized
+    parallel timing pass — contend on independent locks; hits and
+    misses count into [oracle_hits]/[oracle_misses]. *)
 
 val cached : cache -> t -> t
 (** [cached c oracle] wraps [oracle] so queries go through [c].  A

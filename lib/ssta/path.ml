@@ -55,16 +55,7 @@ let propagate (oracle : Oracle.t) chain ~sin ~vdd ~in_rises =
 let statistical ~population ~seeds chain ~sin ~vdd ~in_rises =
   let module Statistical = Slc_core.Statistical in
   (* One population per distinct arc, built lazily. *)
-  let table : (string, Statistical.population) Hashtbl.t = Hashtbl.create 8 in
-  let pop_of arc =
-    let key = Arc.name arc in
-    match Hashtbl.find_opt table key with
-    | Some p -> p
-    | None ->
-      let p = population arc in
-      Hashtbl.add table key p;
-      p
-  in
+  let pop_of = Oracle.per_arc population in
   Array.map
     (fun seed ->
       let query arc point =

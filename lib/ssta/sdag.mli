@@ -62,10 +62,9 @@ val analyze :
 
     Repeated oracle queries within the pass are memoized exactly (a
     fanout net timing many siblings at one slew/load re-derives the
-    arc delay once); pass [?cache] to keep the memo across calls —
-    exact by default, or slew-bucketed if the cache was built with
-    one.  Results with the default or an exact cache are identical to
-    the unmemoized pass.
+    arc delay once); pass [?cache] to keep the memo across calls.
+    Either way the memo is exact, so results are identical to the
+    unmemoized pass.
 
     [?domains] sizes the per-level parallel evaluation (default: the
     {!Slc_num.Parallel} pool default).  Results are bitwise independent

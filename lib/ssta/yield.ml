@@ -35,16 +35,9 @@ let of_path ~population ~seeds ~clock_period chain ~sin ~vdd ~in_rises =
 
 let of_dag ~population ~seeds ~clock_period dag ~input_arrivals ~outputs =
   let module Statistical = Slc_core.Statistical in
-  let table : (string, Statistical.population) Hashtbl.t = Hashtbl.create 8 in
-  let pop_of arc =
-    let key = Slc_cell.Arc.name arc in
-    match Hashtbl.find_opt table key with
-    | Some p -> p
-    | None ->
-      let p = population arc in
-      Hashtbl.add table key p;
-      p
-  in
+  (* One population per distinct arc, built lazily; the DAG pass
+     queries from every pool domain. *)
+  let pop_of = Oracle.per_arc population in
   let delays =
     Array.map
       (fun seed ->

@@ -650,6 +650,39 @@ let test_simulate_batch_matches_scalar () =
   let batch = Harness.simulate_batch tech arc lanes in
   Array.iteri (fun l r -> check_measurement_equal l scalar.(l) r) batch
 
+(* Every [slc serve] connection thread runs on the main domain, so
+   per-domain solver workspaces are shared by concurrent threads unless
+   [Parallel.Slot] checks them out.  Four systhreads simulating the same
+   arc concurrently must each reproduce the sequential reference bit
+   for bit; sharing one workspace corrupts a few results silently. *)
+let test_threads_share_no_workspace () =
+  let tech = Tech.n28 in
+  let arc = Arc.find Cells.nand2 ~pin:"A" ~out_dir:Arc.Fall in
+  let points = Slc_core.Input_space.validation_set ~n:40 ~seed:7 tech in
+  let run p =
+    match Harness.simulate tech arc p with
+    | m ->
+      Ok
+        ( Int64.bits_of_float m.Harness.td,
+          Int64.bits_of_float m.Harness.sout,
+          Int64.bits_of_float m.Harness.energy,
+          m.Harness.newton_iters,
+          m.Harness.time_steps )
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let reference = Array.map run points in
+  let mismatches = Atomic.make 0 in
+  let worker () =
+    for _ = 1 to 200 do
+      Array.iteri
+        (fun i p -> if run p <> reference.(i) then Atomic.incr mismatches)
+        points
+    done
+  in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create worker ()));
+  Alcotest.(check int) "results equal the sequential reference" 0
+    (Atomic.get mismatches)
+
 (* The ["count"] of a span in [Telemetry.dump_json]'s output. *)
 let span_count json name =
   let key = Printf.sprintf "\"%s\": { \"count\": " name in
@@ -819,6 +852,8 @@ let () =
             test_simulate_batch_counts;
           Alcotest.test_case "injected fault peels one lane" `Quick
             test_simulate_batch_fault_peel;
+          Alcotest.test_case "threads share no workspace" `Slow
+            test_threads_share_no_workspace;
           Alcotest.test_case "invalid lane among valid" `Quick
             test_simulate_batch_invalid_lane;
         ] );

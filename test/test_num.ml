@@ -537,6 +537,116 @@ let test_pool_nested_map_runs_inline () =
     (Parallel.map ~domains:8 f xs)
 
 (* ------------------------------------------------------------------ *)
+(* Memo and Slot *)
+
+(* Spin long enough that concurrent first lookups overlap inside the
+   build, not just around it. *)
+let spin () =
+  let n = ref 0 in
+  for _ = 1 to 50_000 do
+    incr n
+  done;
+  ignore (Sys.opaque_identity !n)
+
+let test_memo_concurrent_cold_misses () =
+  let m = Memo.create () in
+  let builds = Atomic.make 0 in
+  let keys = Array.init 64 (fun i -> i mod 4) in
+  let got =
+    Parallel.map ~domains:4 ~chunk:1
+      (fun k ->
+        Memo.find_or_build m k (fun () ->
+            Atomic.incr builds;
+            spin ();
+            ref k))
+      keys
+  in
+  (* Losing builders return the winner's value, so every caller of one
+     key holds the same physical value. *)
+  Array.iteri
+    (fun i k ->
+      let first = got.(k) in
+      Alcotest.(check bool)
+        (Printf.sprintf "lookup %d shares the published value" i)
+        true (got.(i) == first);
+      Alcotest.(check int) "built value" k !(got.(i)))
+    keys;
+  Alcotest.(check bool) "at least one build per key" true
+    (Atomic.get builds >= 4);
+  let before = Atomic.get builds in
+  Array.iter
+    (fun k ->
+      ignore (Memo.find_or_build m k (fun () -> Alcotest.fail "warm rebuild")))
+    [| 0; 1; 2; 3 |];
+  Alcotest.(check int) "warm memo builds nothing" before (Atomic.get builds);
+  Alcotest.(check int) "one entry per key" 4 (Memo.size m)
+
+let test_memo_exception_not_cached () =
+  let m = Memo.create () in
+  let calls = ref 0 in
+  let build () =
+    incr calls;
+    if !calls = 1 then failwith "transient" else "ok"
+  in
+  Alcotest.check_raises "build failure reaches the caller"
+    (Failure "transient") (fun () -> ignore (Memo.find_or_build m "k" build));
+  Alcotest.(check int) "nothing published" 0 (Memo.size m);
+  Alcotest.(check string) "next lookup builds again" "ok"
+    (Memo.find_or_build m "k" build);
+  Alcotest.(check string) "then it is cached" "ok"
+    (Memo.find_or_build m "k" build);
+  Alcotest.(check int) "two builds in all" 2 !calls
+
+let test_memo_size_across_shards () =
+  let m = Memo.create () in
+  for i = 0 to 299 do
+    ignore (Memo.find_or_build m (i mod 100) (fun () -> i))
+  done;
+  Alcotest.(check int) "distinct keys" 100 (Memo.size m);
+  Alcotest.(check int) "first value kept" 7 (Memo.find_or_build m 7 (fun () -> -1))
+
+let test_memo_counters_reconcile () =
+  let module T = Slc_obs.Telemetry in
+  let m = Memo.create ~hits:T.oracle_hits ~misses:T.oracle_misses () in
+  let h0 = T.read T.oracle_hits and m0 = T.read T.oracle_misses in
+  for i = 0 to 49 do
+    ignore (Memo.find_or_build m (i mod 10) (fun () -> i))
+  done;
+  let hits = T.read T.oracle_hits - h0 and misses = T.read T.oracle_misses - m0 in
+  if T.on () then begin
+    Alcotest.(check int) "one miss per distinct key" 10 misses;
+    Alcotest.(check int) "hits + misses = lookups" 50 (hits + misses)
+  end
+  else Alcotest.(check (pair int int)) "counters frozen when off" (0, 0) (hits, misses)
+
+(* Thread B checks the slot out while thread A (on the same domain)
+   still holds it: B must get its own value, and A's value goes back to
+   the slot afterwards. *)
+let test_slot_checkout_between_threads () =
+  let slot = Parallel.Slot.make (fun () -> ref 0) in
+  let a, b, nested =
+    Parallel.Slot.with_ slot (fun a ->
+        let b = ref None in
+        let t =
+          Thread.create
+            (fun () -> Parallel.Slot.with_ slot (fun v -> b := Some v))
+            ()
+        in
+        Thread.join t;
+        let nested = Parallel.Slot.with_ slot Fun.id in
+        (a, Option.get !b, nested))
+  in
+  Alcotest.(check bool) "thread B gets a different value" true (a != b);
+  Alcotest.(check bool) "a nested checkout gets a different value" true
+    (a != nested);
+  Alcotest.(check bool) "the domain's value is returned" true
+    (Parallel.Slot.with_ slot Fun.id == a);
+  (* Returned on the exception path too. *)
+  (try Parallel.Slot.with_ slot (fun _ -> failwith "boom") with Failure _ -> ());
+  Alcotest.(check bool) "returned after an exception" true
+    (Parallel.Slot.with_ slot Fun.id == a)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let prop_mat_transpose_involution =
@@ -694,6 +804,19 @@ let () =
             test_pool_reuse_across_maps;
           Alcotest.test_case "nested map runs inline" `Quick
             test_pool_nested_map_runs_inline;
+          Alcotest.test_case "slot checkout between threads" `Quick
+            test_slot_checkout_between_threads;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "concurrent cold misses share one value" `Quick
+            test_memo_concurrent_cold_misses;
+          Alcotest.test_case "exceptions are not cached" `Quick
+            test_memo_exception_not_cached;
+          Alcotest.test_case "size sums the shards" `Quick
+            test_memo_size_across_shards;
+          Alcotest.test_case "hit/miss counters reconcile" `Quick
+            test_memo_counters_reconcile;
         ] );
       ( "quadrature",
         [ Alcotest.test_case "rules agree with analytic" `Quick test_quadrature ] );

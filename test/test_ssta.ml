@@ -132,6 +132,24 @@ let test_oracle_bank_cross_instance_cache () =
   Alcotest.(check (float 0.0)) "same delay" d0 d1;
   Alcotest.(check (float 0.0)) "same slew" s0 s1
 
+(* The trained cache keys priors by content: a bank over a reloaded
+   copy of the prior — equal content, a different physical value — also
+   answers with zero new simulations.  (Runs after the tests above,
+   which pay for the training.) *)
+let test_oracle_bank_content_keyed () =
+  let prior = Lazy.force tiny_prior in
+  let copy = Prior_io.parse (Prior_io.to_string prior) in
+  Alcotest.(check bool) "physically distinct copy" true (copy != prior);
+  let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall in
+  let p = { Harness.sin; cload = 2e-15; vdd } in
+  let d0, s0 = (Oracle.bayes_bank ~prior tech ~k:2).Oracle.query arc p in
+  Harness.reset_sim_count ();
+  let d1, s1 = (Oracle.bayes_bank ~prior:copy tech ~k:2).Oracle.query arc p in
+  Alcotest.(check int) "content-equal prior trains nothing" 0
+    (Harness.sim_count ());
+  Alcotest.(check (float 0.0)) "same delay" d0 d1;
+  Alcotest.(check (float 0.0)) "same slew" s0 s1
+
 let counting_oracle () =
   let count = ref 0 in
   let base = Oracle.of_simulator tech in
@@ -160,19 +178,9 @@ let test_oracle_query_cache () =
   let du, su = Oracle.of_simulator tech |> fun o -> o.Oracle.query arc p in
   Alcotest.(check bool) "bitwise vs uncached" true
     (Int64.bits_of_float d0 = Int64.bits_of_float du
-    && Int64.bits_of_float s0 = Int64.bits_of_float su);
-  (* A bucketed cache merges nearby slews into one underlying query. *)
-  let oracle2, count2 = counting_oracle () in
-  let cb = Oracle.make_cache ~slew_bucket:1e-12 () in
-  let wb = Oracle.cached cb oracle2 in
-  ignore (wb.Oracle.query arc { p with Harness.sin = 5.0e-12 });
-  ignore (wb.Oracle.query arc { p with Harness.sin = 5.2e-12 });
-  Alcotest.(check int) "bucketed slews share a query" 1 !count2;
-  Alcotest.check_raises "bad bucket"
-    (Slc_obs.Slc_error.Invalid_input (Slc_obs.Slc_error.invalid ~site:"Oracle.make_cache" "bucket <= 0")) (fun () ->
-      ignore (Oracle.make_cache ~slew_bucket:0.0 ()))
+    && Int64.bits_of_float s0 = Int64.bits_of_float su)
 
-(* Regression for the [memo_by_arc] data race: every predictor-backed
+(* Regression for the per-arc memo data race: every predictor-backed
    oracle memoizes per arc in one table, and a levelized parallel
    forward pass queries it from every pool domain at once on shard-cache
    misses (as does the characterization server from its connection
@@ -302,6 +310,58 @@ let test_yield_of_dag () =
   Array.iter
     (fun d -> Alcotest.(check bool) "positive" true (d > 0.0))
     r.Yield.delays
+
+(* [Yield.of_dag] memoizes populations per arc from inside the levelized
+   parallel pass, so a wide level makes several domains miss at once.
+   A cheap synthetic population keeps this quick (it runs in the TSan
+   job's quick pass); the delays must match a sequential reference bit
+   for bit. *)
+let test_yield_of_dag_parallel_memo () =
+  let seeds = Process.sample_batch (Slc_prob.Rng.create 43) tech 4 in
+  let builds = Atomic.make 0 in
+  let population arc =
+    Atomic.incr builds;
+    let base = 1e-12 *. float_of_int (String.length (Arc.name arc)) in
+    {
+      Statistical.meth = Statistical.Lse;
+      seeds;
+      status = Array.map (fun _ -> Statistical.Seed_ok) seeds;
+      predictors = Array.map (fun _ -> None) seeds;
+      train_cost = 0;
+      predict_td =
+        (fun seed p ->
+          base +. (0.5 *. p.Harness.sin)
+          +. (1e-13 *. float_of_int seed.Process.index));
+      predict_sout = (fun _ p -> base +. (0.8 *. p.Harness.sin));
+    }
+  in
+  let dag = Sdag.create tech ~vdd in
+  let x = Sdag.input dag "x" in
+  let y = Sdag.input dag "y" in
+  let level1 =
+    List.init 8 (fun i ->
+        let cell = if i mod 2 = 0 then Cells.nand2 else Cells.nor2 in
+        Sdag.gate dag cell ~pins:[ ("A", x); ("B", y) ] (Printf.sprintf "g%d" i))
+  in
+  let outs =
+    List.mapi
+      (fun i n -> Sdag.gate dag Cells.inv ~pins:[ ("A", n) ] (Printf.sprintf "o%d" i))
+      level1
+  in
+  List.iter (fun o -> Sdag.set_load dag o 2e-15) outs;
+  let input_arrivals _ = Sdag.input_edge ~at:0.0 ~slew:sin ~rises:true in
+  let run () =
+    (Yield.of_dag ~population ~seeds ~clock_period:1e-9 dag ~input_arrivals
+       ~outputs:outs)
+      .Yield.delays
+  in
+  let parallel = run () in
+  let reference = Slc_num.Parallel.sequential run in
+  Alcotest.(check bool) "bitwise equal to the sequential pass" true
+    (Array.map Int64.bits_of_float parallel
+    = Array.map Int64.bits_of_float reference);
+  Alcotest.(check bool) "positive delays" true
+    (Array.for_all (fun d -> d > 0.0) parallel)
 
 (* ------------------------------------------------------------------ *)
 (* Sdag *)
@@ -742,7 +802,7 @@ let test_oracle_cache_shards () =
           synthetic_oracle.Oracle.query arc p);
     }
   in
-  let c = Oracle.make_cache ~shards:4 () in
+  let c = Oracle.make_cache () in
   let w = Oracle.cached c counted in
   let arc = Arc.find Cells.inv ~pin:"A" ~out_dir:Arc.Fall in
   let p = { Harness.sin; cload = 2e-15; vdd } in
@@ -758,11 +818,7 @@ let test_oracle_cache_shards () =
     ignore
       (w.Oracle.query arc { p with Harness.cload = float_of_int i *. 1.3e-15 })
   done;
-  Alcotest.(check int) "sizes sum across shards" 21 (Oracle.cache_size c);
-  Alcotest.check_raises "bad shards"
-    (Slc_obs.Slc_error.Invalid_input
-       (Slc_obs.Slc_error.invalid ~site:"Oracle.make_cache" "shards <= 0"))
-    (fun () -> ignore (Oracle.make_cache ~shards:0 ()))
+  Alcotest.(check int) "sizes sum across shards" 21 (Oracle.cache_size c)
 
 let () =
   Alcotest.run "slc_ssta"
@@ -788,6 +844,8 @@ let () =
             test_oracle_memo_concurrent_miss;
           Alcotest.test_case "cross-instance trained cache" `Slow
             test_oracle_bank_cross_instance_cache;
+          Alcotest.test_case "content-keyed trained cache" `Slow
+            test_oracle_bank_content_keyed;
           Alcotest.test_case "query cache" `Slow test_oracle_query_cache;
         ] );
       ( "path",
@@ -807,6 +865,8 @@ let () =
           Alcotest.test_case "of_delays" `Quick test_yield_of_delays;
           Alcotest.test_case "of_path" `Slow test_yield_of_path;
           Alcotest.test_case "of_dag" `Slow test_yield_of_dag;
+          Alcotest.test_case "of_dag parallel population memo" `Quick
+            test_yield_of_dag_parallel_memo;
         ] );
       ( "sdag",
         [

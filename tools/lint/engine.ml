@@ -344,7 +344,8 @@ let rec r2_scan ctx (e : Typedtree.expression) =
    functions and flags let-chains that create unsynchronized mutable
    state and end in a [fun].
 
-   Tolerated, by the guarded-memo convention (e.g. [Oracle.memo_by_arc]):
+   Tolerated, by the guarded-memo convention (a hand-rolled memo that
+   binds its lock beside its table; library caches use [Slc_num.Memo]):
    a binding anywhere in the same chain — or in an enclosing chain of
    the same function — whose head is a safe creation ([Mutex.create],
    [Atomic.make], …), plus the usual [@slc.domain_safe "reason"]
@@ -725,8 +726,8 @@ let check_r4 ctx (str : Typedtree.structure) =
        invisible for the same reason as opaque parameters;
      - acquisitions performed inside a closure a function builds are
        attributed to the function that builds the closure (an
-       over-approximation that keeps factory modules like
-       [Oracle.memo_by_arc] visible to R6). *)
+       over-approximation that keeps factories like [Oracle.per_arc],
+       whose closure takes [Slc_num.Memo] shard locks, visible to R6). *)
 
 type lockid =
   | Lglobal of string  (* canonical def name of a Mutex.create binding *)
