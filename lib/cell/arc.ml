@@ -58,9 +58,10 @@ let all_of_cell cell =
         [ Rise; Fall ])
     cell.Cells.inputs
 
+(* Built on every oracle-cache lookup, so one exact-size concatenation
+   rather than a [Printf] format interpretation. *)
 let name t =
-  Printf.sprintf "%s/%s/%s" t.cell.Cells.name t.pin
-    (direction_to_string t.out_dir)
+  String.concat "/" [ t.cell.Cells.name; t.pin; direction_to_string t.out_dir ]
 
 let input_on t ~switching_high p =
   assignment t.side_values t.pin switching_high p

@@ -95,30 +95,39 @@ let build ?seed tech arc ~levels =
   let box = Slc_device.Tech.input_box tech in
   build_on_axes ?seed tech arc ~axes:(axes_of_levels ~box levels)
 
-(* Interpolation over up to three axes, constant along singletons. *)
-let cell_of axis x =
-  let n = Array.length axis in
-  if n = 1 then (0, 0.0)
-  else begin
-    let i = Slc_num.Interp.locate axis x in
-    (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
-  end
+(* Interpolation over up to three axes, constant along singletons.
+   The helpers are inlined, so weights and corner values stay unboxed
+   floats: a lookup is paid once per timing arc of an SSTA pass. *)
+let[@inline] cell_index axis x =
+  if Array.length axis = 1 then 0 else Slc_num.Interp.locate axis x
 
-let lookup values t (p : Harness.point) =
-  let i, tx = cell_of t.sin_axis p.Harness.sin in
-  let j, ty = cell_of t.cload_axis p.Harness.cload in
-  let k, tz = cell_of t.vdd_axis p.Harness.vdd in
-  let at a b c =
-    let a = min a (Array.length t.sin_axis - 1) in
-    let b = min b (Array.length t.cload_axis - 1) in
-    let c = min c (Array.length t.vdd_axis - 1) in
-    values.(a).(b).(c)
-  in
-  let lerp w a b = ((1.0 -. w) *. a) +. (w *. b) in
-  let c00 = lerp tx (at i j k) (at (i + 1) j k) in
-  let c10 = lerp tx (at i (j + 1) k) (at (i + 1) (j + 1) k) in
-  let c01 = lerp tx (at i j (k + 1)) (at (i + 1) j (k + 1)) in
-  let c11 = lerp tx (at i (j + 1) (k + 1)) (at (i + 1) (j + 1) (k + 1)) in
+(* Barycentric coordinate of [x] in cell [i], unclamped so points
+   outside the grid extrapolate; 0 on a singleton axis. *)
+let[@inline] weight axis i x =
+  if Array.length axis = 1 then 0.0
+  else (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i))
+
+(* Index of the cell's upper corner: [i + 1], except on a singleton
+   axis ([locate] keeps [i + 1] in range otherwise). *)
+let[@inline] upper axis i = if Array.length axis = 1 then i else i + 1
+
+let[@inline] lerp w a b = ((1.0 -. w) *. a) +. (w *. b)
+
+let lookup (values : float array array array) t (p : Harness.point) =
+  let i = cell_index t.sin_axis p.Harness.sin in
+  let j = cell_index t.cload_axis p.Harness.cload in
+  let k = cell_index t.vdd_axis p.Harness.vdd in
+  let tx = weight t.sin_axis i p.Harness.sin in
+  let ty = weight t.cload_axis j p.Harness.cload in
+  let tz = weight t.vdd_axis k p.Harness.vdd in
+  let i1 = upper t.sin_axis i
+  and j1 = upper t.cload_axis j
+  and k1 = upper t.vdd_axis k in
+  let v0 = values.(i) and v1 = values.(i1) in
+  let c00 = lerp tx v0.(j).(k) v1.(j).(k) in
+  let c10 = lerp tx v0.(j1).(k) v1.(j1).(k) in
+  let c01 = lerp tx v0.(j).(k1) v1.(j).(k1) in
+  let c11 = lerp tx v0.(j1).(k1) v1.(j1).(k1) in
   lerp tz (lerp ty c00 c10) (lerp ty c01 c11)
 
 let lookup_td t p = lookup t.td t p

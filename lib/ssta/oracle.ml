@@ -59,11 +59,11 @@ let of_simulator ?seed tech =
 
    Oracle queries are pure (training happens once per arc; predictors
    and tables are deterministic functions of the point), so repeated
-   identical queries — a fanout net driving many gates, a path re-timed
-   at the same slew — can reuse the first answer.  Keys are the literal
-   point coordinates, so cached results are bitwise identical to
-   uncached ones, and [Memo]'s shards let the levelized parallel pass
-   contend on independent locks. *)
+   identical queries — a design re-timed over a kept cache, a server
+   answering the same point again — can reuse the first answer.  Keys
+   are the literal point coordinates, so cached results are bitwise
+   identical to uncached ones, and [Memo]'s shards let the levelized
+   parallel pass contend on independent locks. *)
 
 type cache = (string * float * float * float, float * float) Slc_num.Memo.t
 

@@ -73,8 +73,10 @@ val bayes_bank :
 type cache
 (** A mutable, domain-safe map from (arc, point) to query results.
     Oracle queries are pure, so identical queries can reuse the first
-    answer — fanout nets and repeated path timings stop re-deriving
-    identical arc delays. *)
+    answer.  Within one timing pass a hit needs two gates with the same
+    arc, input slew and output load, which generated designs almost
+    never have (each gate sees its own wire load); the cache pays off
+    when the caller keeps it across passes or requests. *)
 
 val make_cache : unit -> cache
 (** An empty exact cache: keys are the literal point coordinates, so

@@ -60,11 +60,12 @@ val analyze :
     propagate [None] (e.g. a one-sided input transition yields
     alternating one-sided arrivals down an inverter chain).
 
-    Repeated oracle queries within the pass are memoized exactly (a
-    fanout net timing many siblings at one slew/load re-derives the
-    arc delay once); pass [?cache] to keep the memo across calls.
-    Either way the memo is exact, so results are identical to the
-    unmemoized pass.
+    Oracle queries go through an exact query cache, private to the
+    pass unless [?cache] supplies one to keep across calls.  Hits
+    inside one pass need two gates with the same arc, input slew and
+    output load, so the saving comes from re-running over a kept
+    cache.  Either way the memo is exact, so results are identical to
+    the unmemoized pass.
 
     [?domains] sizes the per-level parallel evaluation (default: the
     {!Slc_num.Parallel} pool default).  Results are bitwise independent

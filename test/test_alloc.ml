@@ -47,6 +47,53 @@ let test_warm_simulate_is_cached () =
     Alcotest.(check bool)
       "second simulate reuses the compiled template" true (hits1 > hits0)
 
+(* Oracle queries: one per timing arc evaluated in an SSTA pass, so
+   their per-call allocation is paid hundreds of thousands of times per
+   100k-gate design.  A warmed [Oracle.of_library] query allocates
+   ~27 minor words (the boxed results and the library scan); an
+   [Oracle.cached] hit ~36 (the arc name and the key tuple, plus the
+   closures handed to the memo).  Budgets are those measurements plus
+   10%: a boxing closure back in [Nldm.lookup] costs over 100 words
+   per query, a [Printf] arc name about 50. *)
+
+let library_query_budget_words = 30.0
+
+let cached_hit_budget_words = 40.0
+
+let query_fixture =
+  lazy
+    (let lib =
+       Slc_cell.Library.characterize ~cells:[ Cells.nand2 ] Tech.n14
+         ~levels:[| 2; 2; 2 |]
+     in
+     (lib, List.nth (Slc_cell.Library.arcs lib) 2,
+      { Harness.sin = 7e-12; cload = 2.5e-15; vdd = 0.75 }))
+
+let check_query_budget what budget query arc point =
+  ignore (Sys.opaque_identity (query arc point));
+  ignore (Sys.opaque_identity (query arc point));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (query arc point));
+  let delta = Gc.minor_words () -. before in
+  if delta > budget then
+    Alcotest.failf "%s allocated %.0f minor words per query (budget %.0f)" what
+      delta budget
+
+let test_library_query_allocation () =
+  let lib, arc, point = Lazy.force query_fixture in
+  let oracle = Slc_ssta.Oracle.of_library lib in
+  check_query_budget "warmed Oracle.of_library" library_query_budget_words
+    oracle.Slc_ssta.Oracle.query arc point
+
+let test_cached_hit_allocation () =
+  let lib, arc, point = Lazy.force query_fixture in
+  let oracle =
+    Slc_ssta.Oracle.cached (Slc_ssta.Oracle.make_cache ())
+      (Slc_ssta.Oracle.of_library lib)
+  in
+  check_query_budget "Oracle.cached hit" cached_hit_budget_words
+    oracle.Slc_ssta.Oracle.query arc point
+
 let () =
   Alcotest.run "alloc"
     [
@@ -56,5 +103,12 @@ let () =
             test_warm_simulate_allocation;
           Alcotest.test_case "template cache hit" `Quick
             test_warm_simulate_is_cached;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "warmed library query fits budget" `Quick
+            test_library_query_allocation;
+          Alcotest.test_case "cached hit fits budget" `Quick
+            test_cached_hit_allocation;
         ] );
     ]

@@ -504,6 +504,95 @@ let test_lut_singleton_axis () =
   check_close ~tol:1e-18 "constant along vdd" (Nldm.lookup_td t p1)
     (Nldm.lookup_td t p2)
 
+(* The trilinear lookup as it was first written: a tuple-returning
+   [cell_of] and local [at]/[lerp] closures.  Kept here as the
+   reference that [Nldm.lookup_td]/[lookup_sout] must match bit for
+   bit. *)
+let reference_lookup (values : float array array array) (t : Nldm.t)
+    (p : Harness.point) =
+  let cell_of axis x =
+    let n = Array.length axis in
+    if n = 1 then (0, 0.0)
+    else begin
+      let i = Slc_num.Interp.locate axis x in
+      (i, (x -. axis.(i)) /. (axis.(i + 1) -. axis.(i)))
+    end
+  in
+  let i, tx = cell_of t.Nldm.sin_axis p.Harness.sin in
+  let j, ty = cell_of t.Nldm.cload_axis p.Harness.cload in
+  let k, tz = cell_of t.Nldm.vdd_axis p.Harness.vdd in
+  let at a b c =
+    let a = min a (Array.length t.Nldm.sin_axis - 1) in
+    let b = min b (Array.length t.Nldm.cload_axis - 1) in
+    let c = min c (Array.length t.Nldm.vdd_axis - 1) in
+    values.(a).(b).(c)
+  in
+  let lerp w a b = ((1.0 -. w) *. a) +. (w *. b) in
+  let c00 = lerp tx (at i j k) (at (i + 1) j k) in
+  let c10 = lerp tx (at i (j + 1) k) (at (i + 1) (j + 1) k) in
+  let c01 = lerp tx (at i j (k + 1)) (at (i + 1) j (k + 1)) in
+  let c11 = lerp tx (at i (j + 1) (k + 1)) (at (i + 1) (j + 1) (k + 1)) in
+  lerp tz (lerp ty c00 c10) (lerp ty c01 c11)
+
+(* Synthetic tables (no simulation) on the input box, queried at every
+   combination of per-axis coordinates: below the grid, on each node,
+   between nodes and above the grid. *)
+let test_lut_lookup_bitwise () =
+  let box = Tech.input_box tech in
+  let table levels =
+    let axes = Nldm.axes_of_levels ~box levels in
+    let grid phase =
+      Array.init levels.(0) (fun i ->
+          Array.init levels.(1) (fun j ->
+              Array.init levels.(2) (fun k ->
+                  let x = float_of_int ((i * 7) + (j * 3) + k) +. phase in
+                  1e-11 *. (1.5 +. sin (1.7 *. x)))))
+    in
+    {
+      Nldm.arc_name = "INV/A/fall";
+      sin_axis = axes.(0);
+      cload_axis = axes.(1);
+      vdd_axis = axes.(2);
+      td = grid 0.1;
+      sout = grid 0.6;
+      energy = grid 0.9;
+    }
+  in
+  let coords (lo, hi) axis =
+    let w = hi -. lo in
+    Array.append
+      [| lo -. (0.31 *. w); lo +. (0.137 *. w); lo +. (0.62 *. w);
+         hi +. (0.27 *. w) |]
+      (Array.concat
+         (Array.to_list
+            (Array.map (fun x -> [| x; x +. (0.013 *. w) |]) axis)))
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun levels ->
+      let t = table levels in
+      let name = Printf.sprintf "levels [|%d;%d;%d|]" levels.(0) levels.(1) levels.(2) in
+      let mismatches = ref 0 and points = ref 0 in
+      Array.iter
+        (fun sin ->
+          Array.iter
+            (fun cload ->
+              Array.iter
+                (fun vdd ->
+                  let p = { Harness.sin; cload; vdd } in
+                  incr points;
+                  if
+                    bits (Nldm.lookup_td t p) <> bits (reference_lookup t.Nldm.td t p)
+                    || bits (Nldm.lookup_sout t p)
+                       <> bits (reference_lookup t.Nldm.sout t p)
+                  then incr mismatches)
+                (coords box.(2) t.Nldm.vdd_axis))
+            (coords box.(1) t.Nldm.cload_axis))
+        (coords box.(0) t.Nldm.sin_axis);
+      Alcotest.(check int) (name ^ ": bitwise mismatches") 0 !mismatches;
+      Alcotest.(check bool) (name ^ ": points checked") true (!points >= 100))
+    [ [| 3; 3; 2 |]; [| 1; 3; 2 |]; [| 3; 1; 1 |] ]
+
 let test_library_characterize () =
   Harness.reset_sim_count ();
   let lib =
@@ -875,6 +964,8 @@ let () =
             test_lut_interpolates_between;
           Alcotest.test_case "singleton axis" `Quick test_lut_singleton_axis;
           Alcotest.test_case "energy table" `Quick test_lut_energy_lookup;
+          Alcotest.test_case "lookup bitwise equal to reference" `Quick
+            test_lut_lookup_bitwise;
           QCheck_alcotest.to_alcotest prop_design_levels_budget;
           Alcotest.test_case "library characterization" `Quick
             test_library_characterize;

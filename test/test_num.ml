@@ -605,6 +605,33 @@ let test_memo_size_across_shards () =
   Alcotest.(check int) "distinct keys" 100 (Memo.size m);
   Alcotest.(check int) "first value kept" 7 (Memo.find_or_build m 7 (fun () -> -1))
 
+(* Shard choice and bucket choice must read different bits of the
+   hash: if they shared the low bits, each shard would use 1/16 of its
+   buckets and chains would grow 16 times longer (about 32 here). *)
+let test_memo_spread () =
+  let check_spread name build_keys =
+    let m = Memo.create () in
+    build_keys (fun k -> ignore (Memo.find_or_build m k (fun () -> ())));
+    Alcotest.(check int) (name ^ ": all keys kept") (1 lsl 16) (Memo.size m);
+    let longest = Memo.max_bucket_length m in
+    if longest > 12 then
+      Alcotest.failf "%s: longest bucket chain %d > 12 over 2^16 keys" name
+        longest
+  in
+  check_spread "int keys" (fun add ->
+      for i = 0 to (1 lsl 16) - 1 do
+        add i
+      done);
+  (* The oracle query cache's key shape: (arc name, slew, load, vdd). *)
+  check_spread "query keys" (fun add ->
+      for i = 0 to (1 lsl 16) - 1 do
+        add
+          ( [| "INV/A/rise"; "NAND2/B/fall"; "NOR2/A/fall" |].(i mod 3),
+            float_of_int (i / 3) *. 1e-13,
+            2e-15 +. (float_of_int (i mod 7) *. 1e-16),
+            0.8 )
+      done)
+
 let test_memo_counters_reconcile () =
   let module T = Slc_obs.Telemetry in
   let m = Memo.create ~hits:T.oracle_hits ~misses:T.oracle_misses () in
@@ -817,6 +844,8 @@ let () =
             test_memo_size_across_shards;
           Alcotest.test_case "hit/miss counters reconcile" `Quick
             test_memo_counters_reconcile;
+          Alcotest.test_case "keys spread over every bucket" `Quick
+            test_memo_spread;
         ] );
       ( "quadrature",
         [ Alcotest.test_case "rules agree with analytic" `Quick test_quadrature ] );
